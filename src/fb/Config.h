@@ -61,10 +61,9 @@ struct FeedbackConfig {
 
   // --------- Robustness knobs (defaults reproduce the paper exactly) -------
 
-  /// Number of sampling intervals measured per version per sampling phase
-  /// (per-occurrence mode). Values above 1 enable outlier-robust
-  /// aggregation of the repeats; 1 reproduces the paper's single
-  /// measurement.
+  /// Number of sampling intervals measured per version per sampling phase.
+  /// Values above 1 enable outlier-robust aggregation of the repeats; 1
+  /// reproduces the paper's single measurement.
   unsigned SamplingRepeats = 1;
 
   /// Estimator folding repeated measurements into the comparable overhead.
@@ -89,10 +88,10 @@ struct FeedbackConfig {
   double DriftResampleThreshold = 0.0;
 
   /// Granularity at which production overhead is re-measured for drift
-  /// detection in per-occurrence mode: the production budget is consumed in
+  /// detection and the watchdog: the production budget is consumed in
   /// slices of this length. 0 runs the whole production interval in one
-  /// piece (paper behaviour; drift detection then only applies in spanning
-  /// mode, whose production is naturally sliced by occurrences).
+  /// piece (paper behaviour; production is then only re-measured where a
+  /// section boundary cuts it, i.e. in spanning mode).
   rt::Nanos ProductionSliceNanos = 0;
 
   // --------- Controller resilience (long-running serving; defaults off) ----

@@ -216,41 +216,35 @@ bool FeedbackController::noteSampleHealth(const std::string &SectionName,
       H.StrikePhases.clear();
       ++Trace.Reprobes;
       fbCounters().QuarantineCleared.add();
-      logReprobe(SectionName, Now, V, Label, *Overhead);
+      emit({.Kind = obs::DecisionKind::Reprobe, .TimeNanos = Now,
+            .Section = SectionName, .Version = V, .Label = Label,
+            .Overhead = *Overhead});
       return false;
     }
     // Failed re-probe: stay out for twice as long (bounded).
     H.BackoffPhases = std::min(H.BackoffPhases * 2, MaxBackoff);
     H.ReleasePhase = RS.PhaseCounter + H.BackoffPhases;
-    ++Trace.Quarantines;
-    logQuarantine(SectionName, Now, V, Label, Overhead ? *Overhead : NaN,
-                  static_cast<unsigned>(H.StrikePhases.size()),
-                  H.BackoffPhases);
-    return true;
+  } else if (!Bad) {
+    return false;
+  } else {
+    // Strike: count it within the sliding window of recent sampling phases.
+    H.StrikePhases.push_back(RS.PhaseCounter);
+    const unsigned Window = std::max(1u, Config.QuarantineWindowPhases);
+    const unsigned Oldest =
+        RS.PhaseCounter >= Window ? RS.PhaseCounter - Window + 1 : 0;
+    std::erase_if(H.StrikePhases, [&](unsigned P) { return P < Oldest; });
+    if (H.StrikePhases.size() < Config.QuarantineStrikes)
+      return false;
+    H.Quarantined = true;
+    H.BackoffPhases =
+        std::min(std::max(1u, Config.QuarantineBackoffPhases), MaxBackoff);
+    H.ReleasePhase = RS.PhaseCounter + H.BackoffPhases;
   }
-
-  if (!Bad)
-    return false;
-
-  // Strike: count it within the sliding window of recent sampling phases.
-  H.StrikePhases.push_back(RS.PhaseCounter);
-  const unsigned Window = std::max(1u, Config.QuarantineWindowPhases);
-  const unsigned Oldest =
-      RS.PhaseCounter >= Window ? RS.PhaseCounter - Window + 1 : 0;
-  H.StrikePhases.erase(
-      std::remove_if(H.StrikePhases.begin(), H.StrikePhases.end(),
-                     [&](unsigned P) { return P < Oldest; }),
-      H.StrikePhases.end());
-  if (H.StrikePhases.size() < Config.QuarantineStrikes)
-    return false;
-
-  H.Quarantined = true;
-  H.BackoffPhases =
-      std::min(std::max(1u, Config.QuarantineBackoffPhases), MaxBackoff);
-  H.ReleasePhase = RS.PhaseCounter + H.BackoffPhases;
   ++Trace.Quarantines;
-  logQuarantine(SectionName, Now, V, Label, Overhead ? *Overhead : NaN,
-                static_cast<unsigned>(H.StrikePhases.size()), H.BackoffPhases);
+  emit({.Kind = obs::DecisionKind::Quarantine, .TimeNanos = Now,
+        .Section = SectionName, .Version = V, .Label = Label,
+        .Overhead = Overhead.value_or(NaN), .Repeats = H.BackoffPhases,
+        .Degenerate = static_cast<unsigned>(H.StrikePhases.size())});
   return true;
 }
 
@@ -274,8 +268,9 @@ bool FeedbackController::noteProductionHealth(const std::string &SectionName,
   if (RS.WatchdogBad < Threshold)
     return false;
   ++Trace.WatchdogResamples;
-  logWatchdogResample(SectionName, Now, V, Label, Overhead ? *Overhead : NaN,
-                      RS.WatchdogBad);
+  emit({.Kind = obs::DecisionKind::WatchdogResample, .TimeNanos = Now,
+        .Section = SectionName, .Version = V, .Label = Label,
+        .Overhead = Overhead.value_or(NaN), .Degenerate = RS.WatchdogBad});
   RS.WatchdogThreshold = std::min(Threshold * 2, Base * 8);
   RS.WatchdogBad = 0;
   return true;
@@ -288,7 +283,7 @@ FeedbackController::pickBest(const std::vector<std::optional<double>> &Overheads
                              const ResilienceState *RS) const {
   // Least sampled overhead; ties resolve to the lowest version index, i.e.
   // the earliest policy. Non-finite entries never win (belt and braces: the
-  // sampling loops already discard them).
+  // sampling step already discards them).
   std::optional<unsigned> Best;
   for (unsigned V = 0; V < Overheads.size(); ++V)
     if (Overheads[V] && std::isfinite(*Overheads[V]) &&
@@ -316,169 +311,46 @@ FeedbackController::pickBest(const std::vector<std::optional<double>> &Overheads
   return {Best, /*HysteresisHeld=*/false};
 }
 
-void FeedbackController::logSample(const std::string &Section, rt::Nanos T,
-                                   unsigned V, const std::string &Label,
-                                   double Overhead, unsigned Repeats,
-                                   unsigned Degenerate) const {
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Sample;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Repeats = Repeats;
-  E.Degenerate = Degenerate;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logSwitch(const std::string &Section, rt::Nanos T,
-                                   unsigned V, const std::string &Label,
-                                   double Overhead,
-                                   obs::SwitchReason Reason) const {
-  fbCounters().Switches.add();
-  if (Reason == obs::SwitchReason::Fallback)
-    fbCounters().Fallbacks.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Switch;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Reason = Reason;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logDriftResample(const std::string &Section,
-                                          rt::Nanos T, unsigned V,
-                                          const std::string &Label,
-                                          double Overhead) const {
-  fbCounters().DriftResamples.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::DriftResample;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Reason = obs::SwitchReason::None;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logQuarantine(const std::string &Section, rt::Nanos T,
-                                       unsigned V, const std::string &Label,
-                                       double Overhead, unsigned Strikes,
-                                       unsigned OutPhases) const {
-  fbCounters().QuarantineAdded.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Quarantine;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Repeats = OutPhases;
-  E.Degenerate = Strikes;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logReprobe(const std::string &Section, rt::Nanos T,
-                                    unsigned V, const std::string &Label,
-                                    double Overhead) const {
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Reprobe;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logWatchdogResample(const std::string &Section,
-                                             rt::Nanos T, unsigned V,
-                                             const std::string &Label,
-                                             double Overhead,
-                                             unsigned Streak) const {
-  fbCounters().WatchdogResamples.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::WatchdogResample;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Degenerate = Streak;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logDegraded(const std::string &Section, rt::Nanos T,
-                                     unsigned V,
-                                     const std::string &Label) const {
-  fbCounters().Degraded.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Degraded;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = NaN;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logPrune(const std::string &Section, rt::Nanos T,
-                                  unsigned V, const std::string &Label,
-                                  double Overhead, unsigned Round) const {
-  // Registered lazily so runs under the default exhaustive sampler (which
-  // never prunes) keep their metrics dumps byte-identical.
-  static obs::Counter &Prunes =
-      obs::globalMetrics().counter("fb.search.prunes");
-  Prunes.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Prune;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Repeats = Round;
-  Log->append(std::move(E));
-}
-
-void FeedbackController::logPromote(const std::string &Section, rt::Nanos T,
-                                    unsigned V, const std::string &Label,
-                                    double Overhead, unsigned Round) const {
-  static obs::Counter &Promotes =
-      obs::globalMetrics().counter("fb.search.promotes");
-  Promotes.add();
-  if (!Log)
-    return;
-  obs::DecisionEvent E;
-  E.Kind = obs::DecisionKind::Promote;
-  E.TimeNanos = T;
-  E.Section = Section;
-  E.Version = V;
-  E.Label = Label;
-  E.Overhead = Overhead;
-  E.Repeats = Round;
-  Log->append(std::move(E));
+void FeedbackController::emit(obs::DecisionEvent E) const {
+  FbCounters &C = fbCounters();
+  switch (E.Kind) {
+  case obs::DecisionKind::Switch:
+    C.Switches.add();
+    if (E.Reason == obs::SwitchReason::Fallback)
+      C.Fallbacks.add();
+    break;
+  case obs::DecisionKind::DriftResample:
+    C.DriftResamples.add();
+    break;
+  case obs::DecisionKind::Quarantine:
+    C.QuarantineAdded.add();
+    break;
+  case obs::DecisionKind::WatchdogResample:
+    C.WatchdogResamples.add();
+    break;
+  case obs::DecisionKind::Degraded:
+    C.Degraded.add();
+    break;
+  case obs::DecisionKind::Prune: {
+    // Registered lazily so runs under the default exhaustive sampler (which
+    // never prunes) keep their metrics dumps byte-identical.
+    static obs::Counter &Prunes =
+        obs::globalMetrics().counter("fb.search.prunes");
+    Prunes.add();
+    break;
+  }
+  case obs::DecisionKind::Promote: {
+    static obs::Counter &Promotes =
+        obs::globalMetrics().counter("fb.search.promotes");
+    Promotes.add();
+    break;
+  }
+  case obs::DecisionKind::Sample:
+  case obs::DecisionKind::Reprobe:
+    break;
+  }
+  if (Log)
+    Log->append(std::move(E));
 }
 
 void FeedbackController::drainSearchEvents(
@@ -487,23 +359,23 @@ void FeedbackController::drainSearchEvents(
     std::vector<std::optional<double>> &Overheads,
     SectionExecutionTrace &Trace) const {
   for (const SearchEvent &E : S.takeEvents()) {
-    const std::string &Label =
-        E.Version < Labels.size() ? Labels[E.Version] : Labels.back();
-    switch (E.K) {
-    case SearchEvent::Kind::Prune:
+    obs::DecisionKind Kind = obs::DecisionKind::Promote;
+    if (E.K == SearchEvent::Kind::Prune) {
+      Kind = obs::DecisionKind::Prune;
       // A pruned version is out of this phase's decision. Clearing its
       // estimate is also what keeps switch hysteresis from holding a pruned
       // incumbent: the hold requires a measured incumbent overhead.
       if (E.Version < Overheads.size())
         Overheads[E.Version].reset();
       ++Trace.Prunes;
-      logPrune(Section, Now, E.Version, Label, E.Overhead, E.Round);
-      break;
-    case SearchEvent::Kind::Promote:
+    } else {
       ++Trace.Promotes;
-      logPromote(Section, Now, E.Version, Label, E.Overhead, E.Round);
-      break;
     }
+    emit({.Kind = Kind, .TimeNanos = Now, .Section = Section,
+          .Version = E.Version,
+          .Label = E.Version < Labels.size() ? Labels[E.Version]
+                                             : Labels.back(),
+          .Overhead = E.Overhead, .Repeats = E.Round});
   }
 }
 
@@ -525,16 +397,6 @@ void FeedbackController::noteHistoryMiss(const std::string &SectionName,
 SectionExecutionTrace
 FeedbackController::executeSection(IntervalRunner &Runner,
                                    const std::string &SectionName) {
-  SectionExecutionTrace Trace = Config.SpanSectionExecutions
-                                    ? executeSpanning(Runner, SectionName)
-                                    : executePerOccurrence(Runner, SectionName);
-  Trace.assertInvariants();
-  return Trace;
-}
-
-SectionExecutionTrace
-FeedbackController::executeSpanning(IntervalRunner &Runner,
-                                    const std::string &SectionName) {
   SectionExecutionTrace Trace;
   Trace.SectionName = SectionName;
   Trace.StartNanos = Runner.now();
@@ -547,28 +409,49 @@ FeedbackController::executeSpanning(IntervalRunner &Runner,
                             ? &resilienceState(SectionName, NumVersions)
                             : nullptr;
   const auto AllQuarantined = [&] {
-    if (!RS || RS->Versions.empty())
+    if (!RS)
       return false;
-    for (const VersionHealth &H : RS->Versions)
-      if (!H.Quarantined)
+    for (unsigned V = 0; V < NumVersions; ++V)
+      if (!RS->Versions[V].Quarantined)
         return false;
     return true;
   };
 
-  SpanState &State = SpanStates[SectionName];
-  auto StartSamplingPhase = [&] {
-    State.Phase = SpanState::PhaseKind::Sampling;
-    State.Order = samplingOrder(Labels, SectionName);
+  // The one difference between the modes. Spanning mode keeps the section's
+  // phase state across occurrences, so an interval or phase the section
+  // boundary cuts short resumes in the next occurrence. Per-occurrence mode
+  // starts every occurrence afresh and closes what is in flight at the
+  // boundary: a cut-short interval counts as measured, and a sampling phase
+  // is decided on what it measured, with no production left to run.
+  const bool Carry = Config.SpanSectionExecutions;
+  PhaseState Fresh;
+  PhaseState &S = Carry ? PhaseStates[SectionName] : Fresh;
+  const auto AtBoundary = [&] { return !Carry && Runner.done(); };
+
+  const auto CountDegenerate = [&] {
+    ++Trace.DegenerateIntervals;
+    fbCounters().DegenerateIntervals.add();
+  };
+
+  // Starts measuring the pending request afresh.
+  const auto BeginRequest = [&] {
+    if (S.Current)
+      S.Remaining = S.Current->SliceNanos;
+    S.RepeatsDone = 0;
+    S.Samples.clear();
+    S.DegenerateRepeats = 0;
+  };
+
+  const auto StartSamplingPhase = [&] {
+    S.Phase = PhaseState::Kind::Sampling;
+    S.Order = samplingOrder(Labels, SectionName);
     if (RS && quarantineEnabled()) {
       // Quarantined versions sit out until their re-probe phase comes due.
       ++RS->PhaseCounter;
-      State.Order.erase(
-          std::remove_if(State.Order.begin(), State.Order.end(),
-                         [&](unsigned V) { return isExcluded(*RS, V); }),
-          State.Order.end());
+      std::erase_if(S.Order, [&](unsigned V) { return isExcluded(*RS, V); });
     }
-    if (!State.Strategy)
-      State.Strategy = createSamplingStrategy(Config);
+    if (!S.Strategy)
+      S.Strategy = createSamplingStrategy(Config);
     if (Config.Sampler != SamplerKind::Exhaustive) {
       // Lazily registered like the prune/promote counters: dumps of
       // default-sampler runs stay byte-identical.
@@ -576,368 +459,202 @@ FeedbackController::executeSpanning(IntervalRunner &Runner,
           obs::globalMetrics().counter("fb.search.phases");
       Phases.add();
     }
-    State.Current.reset();
-    if (!State.Order.empty()) {
-      State.Strategy->beginPhase(State.Order, Labels);
-      State.Current = State.Strategy->next();
+    S.Current.reset();
+    if (!S.Order.empty()) {
+      S.Strategy->beginPhase(S.Order, Labels);
+      S.Current = S.Strategy->next();
     }
-    State.Overheads.assign(NumVersions, std::nullopt);
-    State.CurrentIntervalStats = OverheadStats{};
-    State.Remaining =
-        State.Current ? State.Current->SliceNanos : Config.TargetSamplingNanos;
-    State.ProductionOverhead.reset();
-  };
-  if (State.Overheads.empty())
-    StartSamplingPhase(); // First ever occurrence of this section.
-
-  while (!Runner.done()) {
-    if (State.Phase == SpanState::PhaseKind::Sampling) {
-      if (State.Order.empty()) {
-        // Degraded mode: every version is quarantined, so there is nothing
-        // to sample. Pin the last known-good version (the first version if
-        // nothing ever completed production) for a full production interval;
-        // re-probes come due as the phase counter keeps advancing.
-        const unsigned Pin = State.LastGood ? *State.LastGood : 0u;
-        ++Trace.SamplingPhases;
-        ++Trace.DegradedPhases;
-        logDegraded(SectionName, Runner.now(), Pin, Labels[Pin]);
-        State.Phase = SpanState::PhaseKind::Production;
-        State.ProductionVersion = Pin;
-        State.ProductionOverhead.reset();
-        State.LastGood = Pin;
-        State.Remaining = Config.TargetProductionNanos;
-        Trace.ChosenVersions.push_back(Pin);
-        logSwitch(SectionName, Runner.now(), Pin, Labels[Pin], NaN,
-                  obs::SwitchReason::Fallback);
-        continue;
-      }
-      DYNFB_CHECK(State.Current, "sampling phase with no pending request");
-      const unsigned V = State.Current->Version;
-      const IntervalReport Report = Runner.runInterval(V, State.Remaining);
-      Trace.Total.merge(Report.Stats);
-      State.CurrentIntervalStats.merge(Report.Stats);
-      if (Report.EffectiveNanos > 0) {
-        State.Remaining -= Report.EffectiveNanos;
-        Trace.SampledNanos += Report.EffectiveNanos;
-      } else
-        State.Remaining = 0; // A stuck interval must not stall the phase.
-
-      const bool IntervalDone = State.Remaining <= 0;
-      if (!IntervalDone)
-        continue; // Section ended mid-interval; resume next occurrence.
-
-      // This version's sampling interval is complete: record it, unless the
-      // accumulated measurement is degenerate (zero duration, non-finite).
-      ++Trace.SampledIntervals;
-      fbCounters().SampledIntervals.add();
-      std::optional<double> Measured;
-      if (isUsable(State.CurrentIntervalStats)) {
-        Measured = State.CurrentIntervalStats.totalOverhead();
-        Trace.SampledOverheads.getOrCreate(Runner.versionLabel(V))
-            .addPoint(nanosToSeconds(Runner.now()), *Measured);
-        logSample(SectionName, Runner.now(), V, Labels[V], *Measured,
-                  /*Repeats=*/1, /*Degenerate=*/0);
-      } else {
-        ++Trace.DegenerateIntervals;
-        fbCounters().DegenerateIntervals.add();
-        logSample(SectionName, Runner.now(), V, Labels[V], NaN,
-                  /*Repeats=*/0, /*Degenerate=*/1);
-      }
-      const bool Quarantined =
-          RS && quarantineEnabled() &&
-          noteSampleHealth(SectionName, *RS, V, Labels[V], Measured,
-                           Runner.now(), Trace);
-      const std::optional<double> Est = State.Strategy->report(V, Measured);
-      if (Quarantined) {
-        State.Overheads[V].reset(); // Quarantined: out of this decision.
-        State.Strategy->disqualify(V);
-      } else if (Est) {
-        State.Overheads[V] = *Est;
-      }
-      State.CurrentIntervalStats = OverheadStats{};
-
-      const bool CutOff = !Quarantined && Config.EarlyCutoff &&
-                          State.Overheads[V] &&
-                          *State.Overheads[V] <= Config.EarlyCutoffThreshold;
-      if (CutOff)
-        Trace.SkippedByCutoff += State.Strategy->pendingCount();
-      State.Current = CutOff ? std::nullopt : State.Strategy->next();
-      drainSearchEvents(*State.Strategy, SectionName, Runner.now(), Labels,
-                        State.Overheads, Trace);
-      if (State.Current) {
-        State.Remaining = State.Current->SliceNanos;
-        continue;
-      }
-      {
-        // Sampling phase complete: pick the best and enter production. An
-        // entirely degenerate phase falls back to the last known-good
-        // version (or the first in sampling order on the very first phase)
-        // instead of aborting.
-        const BestPick Pick =
-            pickBest(State.Overheads, State.LastGood, Trace, RS);
-        std::optional<unsigned> Best = Pick.V;
-        obs::SwitchReason Reason = Pick.HysteresisHeld
-                                       ? obs::SwitchReason::HysteresisHeld
-                                       : obs::SwitchReason::BeatBest;
-        if (!Best) {
-          Best = State.LastGood ? *State.LastGood : State.Order.front();
-          Reason = obs::SwitchReason::Fallback;
-          if (AllQuarantined()) {
-            // Every re-probe failed this phase: the fallback pin is a
-            // degraded decision, not a plain degenerate-sampling one.
-            ++Trace.DegradedPhases;
-            logDegraded(SectionName, Runner.now(), *Best, Labels[*Best]);
-          }
-        }
-        if (History)
-          History->recordBest(SectionName, Labels[*Best]);
-        State.Phase = SpanState::PhaseKind::Production;
-        State.ProductionVersion = *Best;
-        State.ProductionOverhead =
-            *Best < NumVersions ? State.Overheads[*Best] : std::nullopt;
-        State.LastGood = *Best;
-        State.Remaining = Config.TargetProductionNanos;
-        ++Trace.SamplingPhases;
-        Trace.ChosenVersions.push_back(*Best);
-        logSwitch(SectionName, Runner.now(), *Best, Labels[*Best],
-                  State.ProductionOverhead ? *State.ProductionOverhead : NaN,
-                  Reason);
-      }
-      continue;
-    }
-
-    // Production: run the chosen version until its budget is exhausted,
-    // across as many section executions as it takes -- or until its
-    // measured overhead drifts past the decision's sampled overhead, which
-    // triggers an early resample (the adaptivity of Section 4.4 made
-    // defensive against environmental faults).
-    const IntervalReport Report =
-        Runner.runInterval(State.ProductionVersion, State.Remaining);
-    Trace.Total.merge(Report.Stats);
-    if (Report.EffectiveNanos > 0)
-      State.Remaining -= Report.EffectiveNanos;
-    else
-      State.Remaining = 0; // A stuck interval forces a resample.
-    if (Config.DriftResampleThreshold > 0.0 && State.ProductionOverhead &&
-        State.Remaining > 0 && isUsable(Report.Stats) &&
-        Report.Stats.totalOverhead() >
-            *State.ProductionOverhead + Config.DriftResampleThreshold) {
-      ++Trace.EarlyResamples;
-      logDriftResample(SectionName, Runner.now(), State.ProductionVersion,
-                       Labels[State.ProductionVersion],
-                       Report.Stats.totalOverhead());
-      State.Remaining = 0;
-    }
-    if (RS && watchdogEnabled() && State.Remaining > 0 &&
-        noteProductionHealth(SectionName, *RS, State.ProductionVersion,
-                             Labels[State.ProductionVersion],
-                             isUsable(Report.Stats)
-                                 ? std::optional<double>(
-                                       Report.Stats.totalOverhead())
-                                 : std::nullopt,
-                             Runner.now(), Trace))
-      State.Remaining = 0; // Stuck production phase: resample early.
-    if (State.Remaining <= 0)
-      StartSamplingPhase(); // Periodic (or forced) resampling.
-  }
-
-  Trace.EndNanos = Runner.now();
-  return Trace;
-}
-
-SectionExecutionTrace
-FeedbackController::executePerOccurrence(IntervalRunner &Runner,
-                                         const std::string &SectionName) {
-  SectionExecutionTrace Trace;
-  Trace.SectionName = SectionName;
-  Trace.StartNanos = Runner.now();
-
-  const unsigned NumVersions = Runner.numVersions();
-  assert(NumVersions >= 1 && "section with no versions");
-  const std::vector<std::string> Labels = versionLabels(Runner);
-
-  // The incumbent: last version a production phase actually ran. Seeds the
-  // hysteresis comparison and the degenerate-sampling fallback.
-  std::optional<unsigned> LastGood;
-
-  ResilienceState *RS = quarantineEnabled() || watchdogEnabled()
-                            ? &resilienceState(SectionName, NumVersions)
-                            : nullptr;
-  const auto AllQuarantined = [&] {
-    if (!RS || RS->Versions.empty())
-      return false;
-    for (const VersionHealth &H : RS->Versions)
-      if (!H.Quarantined)
-        return false;
-    return true;
+    S.Overheads.assign(NumVersions, std::nullopt);
+    BeginRequest();
   };
 
-  while (!Runner.done()) {
-    // ---- Sampling phase: measure each candidate version's overhead. ----
-    ++Trace.SamplingPhases;
-    std::vector<std::optional<double>> Overheads(NumVersions);
-    std::vector<unsigned> Order = samplingOrder(Labels, SectionName);
-    if (RS && quarantineEnabled()) {
-      // Quarantined versions sit out until their re-probe phase comes due.
-      // An empty order (every version quarantined) skips sampling entirely
-      // and degrades to the pinned last known-good below.
-      ++RS->PhaseCounter;
-      Order.erase(std::remove_if(Order.begin(), Order.end(),
-                                 [&](unsigned V) { return isExcluded(*RS, V); }),
-                  Order.end());
-    }
-
-    const std::unique_ptr<SamplingStrategy> Strat =
-        createSamplingStrategy(Config);
-    if (Config.Sampler != SamplerKind::Exhaustive) {
-      static obs::Counter &Phases =
-          obs::globalMetrics().counter("fb.search.phases");
-      Phases.add();
-    }
-    std::optional<SampleRequest> Req;
-    if (!Order.empty()) {
-      Strat->beginPhase(Order, Labels);
-      Req = Strat->next();
-    }
-    while (Req && !Runner.done()) {
-      const unsigned V = Req->Version;
-      // One measurement reproduces the paper; SamplingRepeats > 1 buys
-      // outlier resistance through the configured robust aggregator.
-      const unsigned Repeats = std::max(1u, Config.SamplingRepeats);
-      std::vector<double> Samples;
-      unsigned DegenerateRepeats = 0;
-      for (unsigned Rep = 0; Rep < Repeats && !Runner.done(); ++Rep) {
-        const IntervalReport Report = Runner.runInterval(V, Req->SliceNanos);
-        ++Trace.SampledIntervals;
-        fbCounters().SampledIntervals.add();
-        Trace.Total.merge(Report.Stats);
-        if (Report.EffectiveNanos > 0)
-          Trace.SampledNanos += Report.EffectiveNanos;
-        if (Report.EffectiveNanos <= 0 || !isUsable(Report.Stats)) {
-          ++Trace.DegenerateIntervals;
-          fbCounters().DegenerateIntervals.add();
-          ++DegenerateRepeats;
-          continue; // Discarded: a 0/0 must not pose as zero overhead.
-        }
-        Samples.push_back(Report.Stats.totalOverhead());
-        Trace.EffectiveSamplingByVersion[Runner.versionLabel(V)].add(
-            nanosToSeconds(Report.EffectiveNanos));
-      }
-      std::optional<double> Measured;
-      if (Samples.empty()) {
-        logSample(SectionName, Runner.now(), V, Labels[V], NaN,
-                  /*Repeats=*/0, DegenerateRepeats);
-      } else {
-        const unsigned UsableRepeats = static_cast<unsigned>(Samples.size());
-        const double Overhead =
-            aggregateOverheads(std::move(Samples), Config.SamplingAggregation,
-                               Config.TrimFraction);
-        if (!std::isfinite(Overhead)) {
-          // Belt and braces: aggregateOverheads returns its NaN sentinel
-          // when every sample was discarded. A non-finite aggregate must
-          // never enter the decision as a measured overhead.
-          ++Trace.DegenerateIntervals;
-          fbCounters().DegenerateIntervals.add();
-          logSample(SectionName, Runner.now(), V, Labels[V], NaN,
-                    /*Repeats=*/0, DegenerateRepeats + UsableRepeats);
-        } else {
-          Measured = Overhead;
-          Trace.SampledOverheads.getOrCreate(Runner.versionLabel(V))
-              .addPoint(nanosToSeconds(Runner.now()), Overhead);
-          logSample(SectionName, Runner.now(), V, Labels[V], Overhead,
-                    UsableRepeats, DegenerateRepeats);
-        }
-      }
-      const bool Quarantined =
-          RS && quarantineEnabled() &&
-          noteSampleHealth(SectionName, *RS, V, Labels[V], Measured,
-                           Runner.now(), Trace);
-      const std::optional<double> Est = Strat->report(V, Measured);
-      if (Quarantined) {
-        Overheads[V].reset(); // Quarantined: out of this decision.
-        Strat->disqualify(V);
-      } else if (Est) {
-        Overheads[V] = *Est;
-      }
-      const bool CutOff = !Quarantined && Config.EarlyCutoff &&
-                          Overheads[V] &&
-                          *Overheads[V] <= Config.EarlyCutoffThreshold;
-      if (CutOff)
-        // No other policy could do significantly better: cut sampling off.
-        Trace.SkippedByCutoff += Strat->pendingCount();
-      Req = CutOff ? std::nullopt : Strat->next();
-      drainSearchEvents(*Strat, SectionName, Runner.now(), Labels, Overheads,
-                        Trace);
-    }
-
-    const BestPick Pick = pickBest(Overheads, LastGood, Trace, RS);
+  // Picks the best sampled version and enters production with it. An
+  // entirely degenerate phase falls back to the last known-good version (or
+  // the first in sampling order on the section's first phase) instead of
+  // aborting.
+  const auto FinishSamplingPhase = [&] {
+    const BestPick Pick = pickBest(S.Overheads, S.LastGood, Trace, RS);
     std::optional<unsigned> Best = Pick.V;
     obs::SwitchReason Reason = Pick.HysteresisHeld
                                    ? obs::SwitchReason::HysteresisHeld
                                    : obs::SwitchReason::BeatBest;
     if (!Best) {
+      Reason = obs::SwitchReason::Fallback;
       if (AllQuarantined()) {
-        // Degraded mode: every version quarantined. Pin the last known-good
-        // (the first version if nothing ever completed production) and run
-        // production; re-probes come due as the phase counter advances.
-        Best = LastGood ? *LastGood : 0u;
-        Reason = obs::SwitchReason::Fallback;
+        // Degraded mode: every version is quarantined. Pin the last
+        // known-good version (the first version if nothing ever completed
+        // production) for a full production interval; re-probes come due as
+        // the phase counter keeps advancing.
+        Best = S.LastGood.value_or(0u);
         ++Trace.DegradedPhases;
-        logDegraded(SectionName, Runner.now(), *Best, Labels[*Best]);
-      } else if (!LastGood) {
-        break; // Nothing was ever measured and there is no fallback.
+        emit({.Kind = obs::DecisionKind::Degraded, .TimeNanos = Runner.now(),
+              .Section = SectionName, .Version = *Best, .Label = Labels[*Best],
+              .Overhead = NaN});
       } else {
-        Best = LastGood; // Degenerate sampling phase: ride the known-good.
-        Reason = obs::SwitchReason::Fallback;
+        Best = S.LastGood ? *S.LastGood : S.Order.front();
       }
     }
     if (History)
       History->recordBest(SectionName, Labels[*Best]);
-    if (Runner.done())
-      break;
-
-    // ---- Production phase: run the best version. ----
+    ++Trace.SamplingPhases;
+    S.Phase = PhaseState::Kind::Production;
+    S.ProductionVersion = *Best;
+    S.ProductionOverhead = S.Overheads[*Best];
+    S.LastGood = *Best;
+    S.Remaining = Config.TargetProductionNanos;
+    if (AtBoundary())
+      return; // The occurrence is over: there is nothing left to produce.
     Trace.ChosenVersions.push_back(*Best);
-    logSwitch(SectionName, Runner.now(), *Best, Labels[*Best],
-              Overheads[*Best] ? *Overheads[*Best] : NaN, Reason);
-    LastGood = *Best;
-    rt::Nanos Budget = Config.TargetProductionNanos;
-    const bool Sliced = Config.ProductionSliceNanos > 0;
-    while (Budget > 0 && !Runner.done()) {
-      const rt::Nanos Target =
-          Sliced ? std::min(Config.ProductionSliceNanos, Budget) : Budget;
-      const IntervalReport Report = Runner.runInterval(*Best, Target);
-      Trace.Total.merge(Report.Stats);
-      if (Report.EffectiveNanos <= 0) {
-        ++Trace.DegenerateIntervals;
-        if (RS && watchdogEnabled())
-          noteProductionHealth(SectionName, *RS, *Best, Labels[*Best],
-                               std::nullopt, Runner.now(), Trace);
-        break; // A stuck production interval must not spin forever.
-      }
-      Budget -= Report.EffectiveNanos;
-      if (Config.DriftResampleThreshold > 0.0 && Overheads[*Best] &&
-          Budget > 0 && isUsable(Report.Stats) &&
-          Report.Stats.totalOverhead() >
-              *Overheads[*Best] + Config.DriftResampleThreshold) {
-        ++Trace.EarlyResamples;
-        logDriftResample(SectionName, Runner.now(), *Best, Labels[*Best],
-                         Report.Stats.totalOverhead());
-        break; // Overhead drifted: resample now instead of riding it out.
-      }
-      if (RS && watchdogEnabled() && Budget > 0 &&
-          noteProductionHealth(SectionName, *RS, *Best, Labels[*Best],
-                               isUsable(Report.Stats)
-                                   ? std::optional<double>(
-                                         Report.Stats.totalOverhead())
-                                   : std::nullopt,
-                               Runner.now(), Trace))
-        break; // Stuck production phase: resample now.
-      if (!Sliced)
-        break; // Whole budget was requested in one interval.
+    emit({.Kind = obs::DecisionKind::Switch, .TimeNanos = Runner.now(),
+          .Section = SectionName, .Version = *Best, .Label = Labels[*Best],
+          .Overhead = S.ProductionOverhead.value_or(NaN), .Reason = Reason});
+  };
+
+  // Folds the completed request's repeats into one measurement (nullopt when
+  // every repeat was degenerate), records it and feeds it to quarantine, the
+  // strategy and early cut-off; then moves on to the next request or, when
+  // the strategy has none, ends the phase.
+  const auto FinishRequest = [&] {
+    const unsigned V = S.Current->Version;
+    const unsigned Usable = static_cast<unsigned>(S.Samples.size());
+    std::optional<double> Measured;
+    if (Usable) {
+      Measured = aggregateOverheads(std::move(S.Samples),
+                                    Config.SamplingAggregation,
+                                    Config.TrimFraction);
+      Trace.SampledOverheads.getOrCreate(Labels[V]).addPoint(
+          nanosToSeconds(Runner.now()), *Measured);
     }
+    emit({.Kind = obs::DecisionKind::Sample, .TimeNanos = Runner.now(),
+          .Section = SectionName, .Version = V, .Label = Labels[V],
+          .Overhead = Measured.value_or(NaN), .Repeats = Usable,
+          .Degenerate = S.DegenerateRepeats});
+
+    const bool Quarantined =
+        RS && quarantineEnabled() &&
+        noteSampleHealth(SectionName, *RS, V, Labels[V], Measured,
+                         Runner.now(), Trace);
+    const std::optional<double> Est = S.Strategy->report(V, Measured);
+    if (Quarantined) {
+      S.Overheads[V].reset(); // Quarantined: out of this decision.
+      S.Strategy->disqualify(V);
+    } else if (Est) {
+      S.Overheads[V] = *Est;
+    }
+    // Early cut-off: no other version could do significantly better.
+    const bool CutOff = !Quarantined && Config.EarlyCutoff &&
+                        S.Overheads[V] &&
+                        *S.Overheads[V] <= Config.EarlyCutoffThreshold;
+    if (CutOff)
+      Trace.SkippedByCutoff += S.Strategy->pendingCount();
+    S.Current = CutOff ? std::nullopt : S.Strategy->next();
+    drainSearchEvents(*S.Strategy, SectionName, Runner.now(), Labels,
+                      S.Overheads, Trace);
+    if (S.Current)
+      BeginRequest();
+    else
+      FinishSamplingPhase();
+  };
+
+  // Production ends early when its measured overhead drifts past the
+  // sampled overhead it was chosen on (the adaptivity of Section 4.4 made
+  // defensive against environmental faults), or when the watchdog sees a
+  // streak of bad intervals -- which also covers production entered by
+  // fallback, with no sampled overhead to drift from.
+  const auto EndProductionEarly = [&](const IntervalReport &Report) {
+    const unsigned V = S.ProductionVersion;
+    std::optional<double> Measured;
+    if (Report.EffectiveNanos > 0 && isUsable(Report.Stats))
+      Measured = Report.Stats.totalOverhead();
+    if (Config.DriftResampleThreshold > 0.0 && S.ProductionOverhead &&
+        Measured &&
+        *Measured > *S.ProductionOverhead + Config.DriftResampleThreshold) {
+      ++Trace.EarlyResamples;
+      emit({.Kind = obs::DecisionKind::DriftResample, .TimeNanos = Runner.now(),
+            .Section = SectionName, .Version = V, .Label = Labels[V],
+            .Overhead = *Measured});
+      return true;
+    }
+    return RS && watchdogEnabled() &&
+           noteProductionHealth(SectionName, *RS, V, Labels[V], Measured,
+                                Runner.now(), Trace);
+  };
+
+  if (S.Phase == PhaseState::Kind::Idle && !AtBoundary())
+    StartSamplingPhase();
+  while (!Runner.done()) {
+    if (S.Phase == PhaseState::Kind::Production) {
+      // Production: run the chosen version until its budget is spent (across
+      // as many occurrences as it takes in spanning mode), in slices when
+      // ProductionSliceNanos is set so that drift and the watchdog see it as
+      // it goes.
+      const rt::Nanos Target =
+          Config.ProductionSliceNanos > 0
+              ? std::min(Config.ProductionSliceNanos, S.Remaining)
+              : S.Remaining;
+      const IntervalReport Report =
+          Runner.runInterval(S.ProductionVersion, Target);
+      Trace.Total.merge(Report.Stats);
+      if (Report.EffectiveNanos > 0)
+        S.Remaining -= Report.EffectiveNanos;
+      else
+        CountDegenerate();
+      if (S.Remaining > 0 && EndProductionEarly(Report))
+        S.Remaining = 0;
+      if (Report.EffectiveNanos <= 0)
+        S.Remaining = 0; // A stuck interval must not spin forever.
+      if (S.Remaining <= 0 && !AtBoundary())
+        StartSamplingPhase(); // Periodic (or forced) resampling.
+      continue;
+    }
+
+    // Sampling: measure the requested version for its interval.
+    if (!S.Current) {
+      FinishSamplingPhase(); // Nothing left to sample (or nothing to sample
+      continue;              // at all: every version is quarantined).
+    }
+    const IntervalReport Report =
+        Runner.runInterval(S.Current->Version, S.Remaining);
+    Trace.Total.merge(Report.Stats);
+    S.IntervalStats.merge(Report.Stats);
+    if (Report.EffectiveNanos > 0) {
+      S.Remaining -= Report.EffectiveNanos;
+      S.IntervalNanos += Report.EffectiveNanos;
+      Trace.SampledNanos += Report.EffectiveNanos;
+    } else {
+      S.Remaining = 0; // A stuck interval must not stall the phase.
+    }
+    if (S.Remaining > 0 && !AtBoundary())
+      continue; // Cut short by the section boundary: resumes next occurrence.
+
+    // The interval is complete. A degenerate measurement (zero duration,
+    // non-finite) is discarded: a 0/0 must not pose as zero overhead.
+    ++Trace.SampledIntervals;
+    fbCounters().SampledIntervals.add();
+    ++S.RepeatsDone;
+    if (S.IntervalNanos > 0 && isUsable(S.IntervalStats)) {
+      S.Samples.push_back(S.IntervalStats.totalOverhead());
+      Trace.EffectiveSamplingByVersion[Labels[S.Current->Version]].add(
+          nanosToSeconds(S.IntervalNanos));
+    } else {
+      CountDegenerate();
+      ++S.DegenerateRepeats;
+    }
+    S.IntervalStats = OverheadStats{};
+    S.IntervalNanos = 0;
+    // One measurement reproduces the paper; SamplingRepeats > 1 buys outlier
+    // resistance through the configured robust aggregator.
+    if (S.RepeatsDone < std::max(1u, Config.SamplingRepeats) &&
+        !AtBoundary()) {
+      S.Remaining = S.Current->SliceNanos;
+      continue;
+    }
+    FinishRequest();
   }
 
+  if (AtBoundary() && S.Phase == PhaseState::Kind::Sampling)
+    FinishSamplingPhase(); // Close the phase the boundary cut short.
   Trace.EndNanos = Runner.now();
+  Trace.assertInvariants();
   return Trace;
 }

@@ -16,6 +16,20 @@
 /// Optional refinements (Section 4.5): early cut-off of the sampling phase
 /// and sampling-order selection from past executions.
 ///
+/// One state machine implements both execution modes. Each section has a
+/// phase state that alternates sampling and production phases; a sampling
+/// phase is a sequence of requests from the SamplingStrategy, each measured
+/// SamplingRepeats times, and a production phase runs the chosen version
+/// for TargetProductionNanos, in ProductionSliceNanos slices when set. The
+/// modes differ only at the section boundary. Spanning mode (Section 4.4's
+/// extension) keeps the phase state across occurrences, so the interval
+/// and phase in flight carry over into the next occurrence. Per-occurrence
+/// mode starts each occurrence with a fresh phase state and closes what is
+/// in flight at the boundary: a cut-short interval counts as measured, and
+/// a cut-short sampling phase is decided without entering production.
+/// Quarantine and watchdog state and the PolicyHistory outlive occurrences
+/// in both modes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYNFB_FB_CONTROLLER_H
@@ -143,8 +157,11 @@ public:
       : Config(Config), History(History), Log(Log) {}
 
   /// Executes the section behind \p Runner to completion. With
-  /// SpanSectionExecutions set, phase state persists inside the controller
-  /// across calls for the same section name (Section 4.4's extension).
+  /// SpanSectionExecutions set, the phase state persists inside the
+  /// controller across calls for the same section name, and the interval
+  /// and phase in flight at the end of a call resume in the next (Section
+  /// 4.4's extension). Otherwise each call starts a fresh phase state and
+  /// closes whatever is in flight when the section finishes.
   SectionExecutionTrace executeSection(rt::IntervalRunner &Runner,
                                        const std::string &SectionName);
 
@@ -156,10 +173,11 @@ public:
                                       const std::string &SectionName) const;
 
 private:
-  /// Cross-occurrence phase state for one section (spanning mode).
-  struct SpanState {
-    enum class PhaseKind { Sampling, Production } Phase =
-        PhaseKind::Sampling;
+  /// One section's sampling/production state machine. Spanning mode keeps
+  /// it in PhaseStates across occurrences; per-occurrence mode gives every
+  /// occurrence a fresh one.
+  struct PhaseState {
+    enum class Kind { Idle, Sampling, Production } Phase = Kind::Idle;
     /// Sampling: the strategy driving the phase, its in-flight request, the
     /// phase's candidate order (kept for fallback decisions) and the
     /// per-version overhead estimates accumulated so far.
@@ -167,9 +185,16 @@ private:
     std::optional<SampleRequest> Current;
     std::vector<unsigned> Order;
     std::vector<std::optional<double>> Overheads;
-    rt::OverheadStats CurrentIntervalStats;
-    /// Remaining budget of the interval currently in progress.
+    /// The in-flight request's repeats: how many completed, the overheads
+    /// of the usable ones and the count of the degenerate ones.
+    unsigned RepeatsDone = 0;
+    std::vector<double> Samples;
+    unsigned DegenerateRepeats = 0;
+    /// Remaining budget of the interval in progress (sampling or
+    /// production) and, while sampling, what it has measured so far.
     rt::Nanos Remaining = 0;
+    rt::OverheadStats IntervalStats;
+    rt::Nanos IntervalNanos = 0;
     /// Production: the version being run.
     unsigned ProductionVersion = 0;
     /// The sampled overhead the production version was chosen on (drift
@@ -234,11 +259,6 @@ private:
                             std::optional<double> Overhead, rt::Nanos Now,
                             SectionExecutionTrace &Trace);
 
-  SectionExecutionTrace executeSpanning(rt::IntervalRunner &Runner,
-                                        const std::string &SectionName);
-  SectionExecutionTrace executePerOccurrence(rt::IntervalRunner &Runner,
-                                             const std::string &SectionName);
-
   /// Outcome of pickBest: the chosen version (nullopt when nothing was
   /// measurably sampled) and whether switch hysteresis held the incumbent
   /// against a challenger that won on raw overhead -- the distinction the
@@ -275,37 +295,14 @@ private:
   void noteHistoryMiss(const std::string &SectionName,
                        const std::string &StaleName) const;
 
-  /// Decision-log emission helpers; no-ops without an attached log. Every
-  /// event is mirrored into the global metrics registry ("fb.*" counters).
-  void logSample(const std::string &Section, rt::Nanos T, unsigned V,
-                 const std::string &Label, double Overhead, unsigned Repeats,
-                 unsigned Degenerate) const;
-  void logSwitch(const std::string &Section, rt::Nanos T, unsigned V,
-                 const std::string &Label, double Overhead,
-                 obs::SwitchReason Reason) const;
-  void logDriftResample(const std::string &Section, rt::Nanos T, unsigned V,
-                        const std::string &Label, double Overhead) const;
-  void logQuarantine(const std::string &Section, rt::Nanos T, unsigned V,
-                     const std::string &Label, double Overhead,
-                     unsigned Strikes, unsigned OutPhases) const;
-  void logReprobe(const std::string &Section, rt::Nanos T, unsigned V,
-                  const std::string &Label, double Overhead) const;
-  void logWatchdogResample(const std::string &Section, rt::Nanos T, unsigned V,
-                           const std::string &Label, double Overhead,
-                           unsigned Streak) const;
-  void logDegraded(const std::string &Section, rt::Nanos T, unsigned V,
-                   const std::string &Label) const;
-  void logPrune(const std::string &Section, rt::Nanos T, unsigned V,
-                const std::string &Label, double Overhead,
-                unsigned Round) const;
-  void logPromote(const std::string &Section, rt::Nanos T, unsigned V,
-                  const std::string &Label, double Overhead,
-                  unsigned Round) const;
+  /// Appends \p E to the decision log (when one is attached) and mirrors
+  /// it into the global metrics registry ("fb.*" counters).
+  void emit(obs::DecisionEvent E) const;
 
   const FeedbackConfig Config;
   PolicyHistory *const History;
   obs::DecisionLog *const Log;
-  std::map<std::string, SpanState> SpanStates;
+  std::map<std::string, PhaseState> PhaseStates;
   std::map<std::string, ResilienceState> Resilience;
   /// (section, stale name) pairs already reported by noteHistoryMiss.
   mutable std::set<std::string> ReportedHistoryMisses;

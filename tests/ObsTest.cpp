@@ -353,9 +353,8 @@ TEST(ObsControllerTest, HysteresisHoldIsLoggedWithReason) {
 
 TEST(ObsControllerTest, DegenerateSamplingLogsFallback) {
   DegenerateRunner R(secondsToNanos(2));
-  // Spanning mode: a fully degenerate sampling phase falls back to the
-  // first version in sampling order (per-occurrence mode with no prior
-  // good version simply gives up).
+  // A fully degenerate sampling phase falls back to the first version in
+  // sampling order (see the per-occurrence twin below).
   FeedbackConfig Config = smallConfig();
   Config.SpanSectionExecutions = true;
   obs::DecisionLog Log;
@@ -373,6 +372,25 @@ TEST(ObsControllerTest, DegenerateSamplingLogsFallback) {
       EXPECT_TRUE(std::isnan(E.Overhead)); // No measurement to base it on.
     }
   }
+}
+
+TEST(ObsControllerTest, DegenerateFirstPhaseFallsBackPerOccurrence) {
+  // Per-occurrence mode falls back exactly like spanning mode: the section
+  // must still run to completion on the first version in sampling order.
+  DegenerateRunner R(secondsToNanos(2));
+  obs::DecisionLog Log;
+  FeedbackController C(smallConfig(), nullptr, &Log);
+  const SectionExecutionTrace T = C.executeSection(R, "S");
+
+  EXPECT_TRUE(R.done());
+  EXPECT_GT(T.DegenerateIntervals, 0u);
+  ASSERT_FALSE(T.ChosenVersions.empty());
+  EXPECT_EQ(T.ChosenVersions.front(), 0u);
+  ASSERT_GT(Log.count(obs::DecisionKind::Switch), 0u);
+  for (const obs::DecisionEvent &E : Log.events())
+    if (E.Kind == obs::DecisionKind::Switch) {
+      EXPECT_EQ(E.Reason, obs::SwitchReason::Fallback);
+    }
 }
 
 TEST(ObsControllerTest, DriftResampleIsLogged) {
