@@ -1750,22 +1750,21 @@ Experiment makeReplayWhatif() {
       const std::vector<replay::WhatIf> Fresh =
           replay::runPinned(*TheApp, Procs, *Model, V);
       for (const replay::WhatIf &G : Fresh)
-        for (const replay::WhatIf *W : Ex.occurrence(G.Occurrence)) {
-          if (W->Version != G.Version)
+        for (const replay::WhatIf &W : Ex.occurrence(G.Occurrence)) {
+          if (W.Version != G.Version)
             continue;
           ++Checks;
-          const rt::Nanos Diff =
-              W->DurationNanos > G.DurationNanos
-                  ? W->DurationNanos - G.DurationNanos
-                  : G.DurationNanos - W->DurationNanos;
+          const rt::Nanos Diff = W.DurationNanos > G.DurationNanos
+                                     ? W.DurationNanos - G.DurationNanos
+                                     : G.DurationNanos - W.DurationNanos;
           MaxAbsDiff = std::max(MaxAbsDiff, Diff);
           const bool StatsEqual =
-              W->Stats.AcquireReleasePairs == G.Stats.AcquireReleasePairs &&
-              W->Stats.FailedAcquires == G.Stats.FailedAcquires &&
-              W->Stats.LockOpNanos == G.Stats.LockOpNanos &&
-              W->Stats.WaitNanos == G.Stats.WaitNanos &&
-              W->Stats.SchedNanos == G.Stats.SchedNanos &&
-              W->Stats.ExecNanos == G.Stats.ExecNanos;
+              W.Stats.AcquireReleasePairs == G.Stats.AcquireReleasePairs &&
+              W.Stats.FailedAcquires == G.Stats.FailedAcquires &&
+              W.Stats.LockOpNanos == G.Stats.LockOpNanos &&
+              W.Stats.WaitNanos == G.Stats.WaitNanos &&
+              W.Stats.SchedNanos == G.Stats.SchedNanos &&
+              W.Stats.ExecNanos == G.Stats.ExecNanos;
           if (Diff != 0 || !StatsEqual)
             ++Mismatches;
         }

@@ -12,8 +12,9 @@
 #include "support/TablePrinter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
-#include <map>
+#include <thread>
 
 using namespace dynfb;
 using namespace dynfb::replay;
@@ -23,36 +24,33 @@ namespace {
 /// Large but overflow-safe interval target (the fixed-flavour convention).
 constexpr rt::Nanos Unbounded = std::numeric_limits<rt::Nanos>::max() / 4;
 
-/// Runs one section occurrence to completion with \p V pinned, from the
-/// machine's current state, and records it as a what-if.
-WhatIf runOccurrencePinned(sim::SimBackend &Backend, const std::string &Name,
-                           size_t Occurrence, unsigned V) {
-  const std::unique_ptr<sim::SimSectionRunner> Runner =
-      Backend.beginSectionSim(Name);
+/// Runs one section occurrence to completion on \p Runner with \p V
+/// pinned, from its machine's current state, and records it as a what-if.
+WhatIf runOccurrencePinned(sim::SimSectionRunner &Runner,
+                           const std::string &Name, size_t Occurrence,
+                           unsigned V) {
   WhatIf W;
   W.Occurrence = Occurrence;
   W.Section = Name;
-  W.Version = std::min(V, Runner->numVersions() - 1);
-  W.Label = Runner->versionLabel(W.Version);
-  W.StartNanos = Runner->now();
-  while (!Runner->done()) {
-    const rt::IntervalReport Report = Runner->runInterval(W.Version, Unbounded);
+  W.Version = std::min(V, Runner.numVersions() - 1);
+  W.Label = Runner.versionLabel(W.Version);
+  W.StartNanos = Runner.now();
+  while (!Runner.done()) {
+    const rt::IntervalReport Report = Runner.runInterval(W.Version, Unbounded);
     W.Stats.merge(Report.Stats);
     if (Report.Finished)
       break;
   }
-  W.DurationNanos = Runner->now() - W.StartNanos;
+  W.DurationNanos = Runner.now() - W.StartNanos;
   return W;
 }
 
 } // namespace
 
-std::vector<const WhatIf *> Exploration::occurrence(size_t Occ) const {
-  std::vector<const WhatIf *> Out;
-  for (const WhatIf &W : WhatIfs)
-    if (W.Occurrence == Occ)
-      Out.push_back(&W);
-  return Out;
+std::span<const WhatIf> Exploration::occurrence(size_t Occ) const {
+  const auto Range =
+      std::ranges::equal_range(WhatIfs, Occ, {}, &WhatIf::Occurrence);
+  return {Range.begin(), Range.end()};
 }
 
 double RegretSummary::regretRatio() const {
@@ -69,9 +67,9 @@ RegretSummary replay::summarizeRegret(const Exploration &E) {
     S.DynamicParallelNanos += E.Mainline.Occurrences[Occ].durationNanos();
     rt::Nanos Best = 0;
     bool Any = false;
-    for (const WhatIf *W : E.occurrence(Occ))
-      if (!Any || W->DurationNanos < Best) {
-        Best = W->DurationNanos;
+    for (const WhatIf &W : E.occurrence(Occ))
+      if (!Any || W.DurationNanos < Best) {
+        Best = W.DurationNanos;
         Any = true;
       }
     S.ClairvoyantParallelNanos += Any ? Best : 0;
@@ -87,6 +85,9 @@ Exploration replay::explore(const apps::App &App, unsigned Procs,
       App.makeSimBackend(Procs, Model, apps::VersionSpec::dynamicFeedback());
   Backend->setPerturbation(Perturb);
 
+  // Workers pull versions from one counter; the mainline controller runs
+  // on this thread beside them.
+  const unsigned MaxWorkers = std::max(1u, std::thread::hardware_concurrency());
   Exploration E;
   fb::FeedbackController Controller(Config, nullptr, &E.Decisions);
   const rt::Nanos Start = Backend->now();
@@ -98,25 +99,41 @@ Exploration replay::explore(const apps::App &App, unsigned Procs,
       Backend->runSerial(P.SerialNanos);
       break;
     case rt::Phase::Kind::Parallel: {
-      // Fork: every version runs the whole occurrence from this state, and
-      // the state is rewound before the next candidate -- so all what-ifs
-      // (and the mainline below) start from the identical machine.
+      // Fork: every version runs the whole occurrence on its own machine
+      // built from this boundary's checkpoint, so all what-ifs (and the
+      // mainline below, which keeps the backend's machine) start from the
+      // identical state. The ops caches are filled here first, on this
+      // thread: afterwards every runner only reads them (docs/REPLAY.md).
+      Backend->fillOpsCaches(P.SectionName);
       const sim::SimMachine::Checkpoint CP = Backend->machine().checkpoint();
-      const unsigned NumV =
-          Backend->beginSectionSim(P.SectionName)->numVersions();
-      for (unsigned V = 0; V < NumV; ++V) {
-        E.WhatIfs.push_back(
-            runOccurrencePinned(*Backend, P.SectionName, Occurrence, V));
-        Backend->machine().restore(CP);
-      }
-      // Mainline: the real dynamic-feedback execution, from the same state
-      // -- bit-identical to a run that never explored.
-      const std::unique_ptr<rt::IntervalRunner> Runner =
-          Backend->beginSection(P.SectionName);
-      fb::SectionExecutionTrace Trace =
-          Controller.executeSection(*Runner, P.SectionName);
-      E.Mainline.ParallelStats.merge(Trace.Total);
-      E.Mainline.Occurrences.push_back(std::move(Trace));
+      const unsigned NumV = Backend->numVersions(P.SectionName);
+      const size_t First = E.WhatIfs.size();
+      E.WhatIfs.resize(First + NumV);
+      std::atomic<unsigned> NextV{0};
+      const auto RunWhatIfs = [&] {
+        for (unsigned V; (V = NextV.fetch_add(1, std::memory_order_relaxed)) <
+                         NumV;) {
+          sim::SimMachine Fork(Procs, Model.clone());
+          Fork.restore(CP);
+          Fork.setPerturbation(Perturb);
+          E.WhatIfs[First + V] = runOccurrencePinned(
+              *Backend->beginSectionOn(Fork, P.SectionName), P.SectionName,
+              Occurrence, V);
+        }
+      };
+      {
+        std::vector<std::jthread> Workers;
+        for (unsigned I = 0; I < std::min(NumV, MaxWorkers); ++I)
+          Workers.emplace_back(RunWhatIfs);
+        // Mainline: the real dynamic-feedback execution -- bit-identical to
+        // a run that never explored.
+        const std::unique_ptr<rt::IntervalRunner> Runner =
+            Backend->beginSection(P.SectionName);
+        fb::SectionExecutionTrace Trace =
+            Controller.executeSection(*Runner, P.SectionName);
+        E.Mainline.ParallelStats.merge(Trace.Total);
+        E.Mainline.Occurrences.push_back(std::move(Trace));
+      } // Joins the workers.
       ++Occurrence;
       break;
     }
@@ -140,10 +157,13 @@ replay::runPinned(const apps::App &App, unsigned Procs,
     case rt::Phase::Kind::Serial:
       Backend->runSerial(P.SerialNanos);
       break;
-    case rt::Phase::Kind::Parallel:
+    case rt::Phase::Kind::Parallel: {
+      const std::unique_ptr<sim::SimSectionRunner> Runner =
+          Backend->beginSectionSim(P.SectionName);
       Out.push_back(
-          runOccurrencePinned(*Backend, P.SectionName, Out.size(), Version));
+          runOccurrencePinned(*Runner, P.SectionName, Out.size(), Version));
       break;
+    }
     }
   }
   return Out;
@@ -166,19 +186,19 @@ std::string replay::renderWhatIfReport(const Exploration &E) {
 
   for (size_t Occ = 0; Occ < E.Mainline.Occurrences.size(); ++Occ) {
     const fb::SectionExecutionTrace &M = E.Mainline.Occurrences[Occ];
-    const std::vector<const WhatIf *> Ws = E.occurrence(Occ);
+    const std::span<const WhatIf> Ws = E.occurrence(Occ);
     const WhatIf *Best = nullptr;
-    for (const WhatIf *W : Ws)
-      if (!Best || W->DurationNanos < Best->DurationNanos)
-        Best = W;
+    for (const WhatIf &W : Ws)
+      if (!Best || W.DurationNanos < Best->DurationNanos)
+        Best = &W;
     std::vector<std::string> Row{
         format("%zu", Occ), M.SectionName,
         formatDouble(rt::nanosToSeconds(M.durationNanos()), 3)};
     for (const std::string &L : Labels) {
       const WhatIf *Found = nullptr;
-      for (const WhatIf *W : Ws)
-        if (W->Label == L)
-          Found = W;
+      for (const WhatIf &W : Ws)
+        if (W.Label == L)
+          Found = &W;
       Row.push_back(
           Found ? formatDouble(rt::nanosToSeconds(Found->DurationNanos), 3) +
                       (Found == Best ? " *" : "")

@@ -8,14 +8,17 @@
 /// Runs an application under dynamic feedback while forking the simulated
 /// machine at every parallel-phase boundary: before the controller executes
 /// a section occurrence, the Explorer checkpoints the machine
-/// (sim::SimMachine::checkpoint()), runs every code version of the section
-/// to completion from that identical state, restores the checkpoint, and
-/// only then lets the mainline controller proceed. The recorded what-ifs
-/// are the counterfactual columns of dynfb-report --whatif ("what Bounded
+/// (sim::SimMachine::checkpoint()) and gives every code version of the
+/// section its own machine built from that checkpoint, on which the version
+/// runs the whole occurrence. The what-ifs run concurrently on worker
+/// threads while the mainline controller executes the occurrence on the
+/// original machine, which no what-if touches. The recorded what-ifs are
+/// the counterfactual columns of dynfb-report --whatif ("what Bounded
 /// would have done here") and the per-occurrence clairvoyant oracle the
-/// regret summary compares dynamic feedback against. Checkpoint invariants
-/// and the exactness argument live in docs/REPLAY.md; the replay_whatif
-/// experiment gates counterfactuals == ground-truth fresh pinned runs.
+/// regret summary compares dynamic feedback against. Checkpoint invariants,
+/// the exactness argument and the read-only ops-cache rule the threads rely
+/// on live in docs/REPLAY.md; the replay_whatif experiment gates
+/// counterfactuals == ground-truth fresh pinned runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +31,7 @@
 #include "rt/MachineModel.h"
 #include "rt/Stats.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,15 +55,17 @@ struct WhatIf {
 };
 
 /// Everything one exploration produced: the mainline dynamic-feedback run
-/// (bit-identical to an unexplored run -- the what-ifs execute between
-/// restore points), its decision log, and every counterfactual.
+/// (bit-identical to an unexplored run -- the what-ifs execute on forked
+/// machines), its decision log, and every counterfactual.
 struct Exploration {
   fb::RunResult Mainline;
   obs::DecisionLog Decisions;
+  /// Sorted by occurrence, then version: each occurrence's what-ifs are
+  /// contiguous.
   std::vector<WhatIf> WhatIfs;
 
   /// The what-ifs of one occurrence, in version order.
-  std::vector<const WhatIf *> occurrence(size_t Occ) const;
+  std::span<const WhatIf> occurrence(size_t Occ) const;
 };
 
 /// Regret of the mainline run against the per-occurrence clairvoyant
@@ -77,9 +83,12 @@ RegretSummary summarizeRegret(const Exploration &E);
 
 /// Runs \p App under dynamic feedback on a fresh simulator built from
 /// \p Model, evaluating every version of every section occurrence from the
-/// checkpointed phase-boundary state. \p Perturb may be null; when present
-/// it perturbs mainline and counterfactuals identically (the engine is a
-/// pure function of section, processor and virtual time).
+/// checkpointed phase-boundary state. The what-ifs of one occurrence run
+/// concurrently, on at most std::thread::hardware_concurrency() worker
+/// threads, beside the mainline on the calling thread; the result does not
+/// depend on the thread count or timing. \p Perturb may be null; when
+/// present it perturbs mainline and counterfactuals identically (the engine
+/// is a pure function of section, processor and virtual time).
 Exploration explore(const apps::App &App, unsigned Procs,
                     const rt::MachineModel &Model,
                     const fb::FeedbackConfig &Config = {},

@@ -319,17 +319,8 @@ IterationEmitter::ops(uint64_t Iter, std::vector<MicroOp> &Scratch) const {
     return Scratch;
   }
   const size_t Key = static_cast<size_t>(Class);
-  if (Key >= Cache->Seqs.size()) {
-    const size_t NewSize =
-        std::max<size_t>(Key + 1, Binding.iterationCount());
-    Cache->Seqs.resize(NewSize);
-    Cache->Filled.resize(NewSize, 0);
-  }
-  if (!Cache->Filled[Key]) {
-    emit(Iter, Cache->Seqs[Key]);
-    Cache->Filled[Key] = 1;
+  if (fillSlot(Iter, Key))
     return Cache->Seqs[Key];
-  }
 #ifndef NDEBUG
   // A cache hit must match a live emit exactly: a binding whose iterations
   // drift while claiming a stable iterationClass corrupts the simulation.
@@ -341,6 +332,30 @@ IterationEmitter::ops(uint64_t Iter, std::vector<MicroOp> &Scratch) const {
            Scratch[I].Dur == Cached[I].Dur && "stale ops cache");
 #endif
   return Cache->Seqs[Key];
+}
+
+bool IterationEmitter::fillSlot(uint64_t Iter, size_t Key) const {
+  if (Key >= Cache->Seqs.size()) {
+    const size_t NewSize =
+        std::max<size_t>(Key + 1, Binding.iterationCount());
+    Cache->Seqs.resize(NewSize);
+    Cache->Filled.resize(NewSize, 0);
+  }
+  if (Cache->Filled[Key])
+    return false;
+  emit(Iter, Cache->Seqs[Key]);
+  Cache->Filled[Key] = 1;
+  return true;
+}
+
+void IterationEmitter::fillCache() const {
+  if (!Cache)
+    return;
+  for (uint64_t Iter = 0, N = Binding.iterationCount(); Iter < N; ++Iter) {
+    const int64_t Class = Binding.iterationClass(Iter);
+    if (Class >= 0)
+      fillSlot(Iter, static_cast<size_t>(Class));
+  }
 }
 
 uint64_t IterationEmitter::countPairs(uint64_t Iter) const {

@@ -60,6 +60,11 @@ public:
   const std::vector<MicroOp> &ops(uint64_t Iter,
                                   std::vector<MicroOp> &Scratch) const;
 
+  /// Emits every memoizable iteration's class into the attached cache (no
+  /// live re-emit of classes already filled). Afterwards ops() only reads
+  /// the cache, so emitters sharing it may run on several threads at once.
+  void fillCache() const;
+
   /// Counts the acquire/release pairs iteration \p Iter executes, without
   /// materializing ops (used by analytical reports).
   uint64_t countPairs(uint64_t Iter) const;
@@ -120,6 +125,10 @@ private:
                     const Frame &F, const LoopCtx &Ctx) const;
 
   static void pushCompute(std::vector<MicroOp> &Out, Nanos Dur);
+
+  /// Makes cache slot \p Key hold iteration \p Iter's ops (growing the
+  /// cache as needed); returns true if it had to emit them.
+  bool fillSlot(uint64_t Iter, size_t Key) const;
 
   const ir::Method *const Entry;
   const DataBinding &Binding;

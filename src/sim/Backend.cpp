@@ -36,21 +36,47 @@ void SimBackend::addSections(const rt::SectionRegistry &Registry) {
   }
 }
 
-std::unique_ptr<SimSectionRunner>
-SimBackend::beginSectionSim(const std::string &Name) {
+const SimBackend::SectionInfo &
+SimBackend::section(const std::string &Name) const {
   auto It = Sections.find(Name);
   if (It == Sections.end())
     reportFatalError("beginSection: unknown parallel section name");
-  auto Runner = std::make_unique<SimSectionRunner>(
-      Machine, *It->second.Binding, It->second.Versions, Instrumented);
-  Runner->attachOpsCaches(&It->second.OpsCaches);
-  Runner->setPerturbation(Machine.perturbation(), Name);
+  return It->second;
+}
+
+std::unique_ptr<SimSectionRunner>
+SimBackend::beginSectionOn(SimMachine &M, const std::string &Name) {
+  SectionInfo &Info = section(Name);
+  auto Runner = std::make_unique<SimSectionRunner>(M, *Info.Binding,
+                                                   Info.Versions, Instrumented);
+  Runner->attachOpsCaches(&Info.OpsCaches);
+  Runner->setPerturbation(M.perturbation(), Name);
+  return Runner;
+}
+
+std::unique_ptr<SimSectionRunner>
+SimBackend::beginSectionSim(const std::string &Name) {
+  std::unique_ptr<SimSectionRunner> Runner = beginSectionOn(Machine, Name);
   if (CollectSectionTraces) {
     IntervalTrace &Trace = SectionTraces[Name];
     Trace.Cumulative = true;
     Runner->attachTrace(&Trace);
   }
   return Runner;
+}
+
+unsigned SimBackend::numVersions(const std::string &Name) const {
+  return static_cast<unsigned>(section(Name).Versions.size());
+}
+
+void SimBackend::fillOpsCaches(const std::string &Name) {
+  SectionInfo &Info = section(Name);
+  for (size_t V = 0; V < Info.Versions.size(); ++V) {
+    rt::IterationEmitter Emitter(Info.Versions[V].Entry, *Info.Binding,
+                                 Machine.costs());
+    Emitter.attachCache(&Info.OpsCaches[V]);
+    Emitter.fillCache();
+  }
 }
 
 std::unique_ptr<rt::IntervalRunner>

@@ -23,6 +23,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 
 namespace dynfb::sim {
 
@@ -60,6 +61,23 @@ public:
   std::unique_ptr<SimSectionRunner>
   beginSectionSim(const std::string &Name);
 
+  /// A runner of section \p Name that simulates on \p M -- typically a
+  /// machine forked from a checkpoint of this backend's -- instead of this
+  /// backend's machine. It shares the section's ops caches and takes \p M's
+  /// perturbation engine; it never carries a section trace. Runners on
+  /// different machines may run on different threads once the section's
+  /// caches are filled (fillOpsCaches). \p M must outlive the runner.
+  std::unique_ptr<SimSectionRunner> beginSectionOn(SimMachine &M,
+                                                   const std::string &Name);
+
+  /// Number of code versions registered for section \p Name.
+  unsigned numVersions(const std::string &Name) const;
+
+  /// Fills every version's ops cache of section \p Name, so the section's
+  /// runners afterwards only read them. Later calls find the caches full
+  /// and emit nothing.
+  void fillOpsCaches(const std::string &Name);
+
   rt::Nanos now() const override { return Machine.now(); }
 
   SimMachine &machine() { return Machine; }
@@ -95,6 +113,11 @@ private:
     /// binding's lifetime; re-registering a section replaces the caches).
     std::vector<rt::EmittedOpsCache> OpsCaches;
   };
+
+  const SectionInfo &section(const std::string &Name) const;
+  SectionInfo &section(const std::string &Name) {
+    return const_cast<SectionInfo &>(std::as_const(*this).section(Name));
+  }
 
   SimMachine Machine;
   const bool Instrumented;

@@ -93,9 +93,11 @@ public:
 
   Checkpoint checkpoint() const { return Checkpoint{Clock, LockHomes}; }
 
-  /// Rewinds the machine to \p CP. Legal at any point where no interval is
-  /// in flight; the engine attachment is deliberately not part of the
-  /// snapshot (it is configuration, not simulated state).
+  /// Rewinds the machine to \p CP, or forks one from it when called on a
+  /// fresh machine with the same processor count and model (what
+  /// replay::explore does for each what-if). Legal at any point where no
+  /// interval is in flight; the engine attachment is deliberately not part
+  /// of the snapshot (it is configuration, not simulated state).
   void restore(const Checkpoint &CP) {
     Clock = CP.Clock;
     LockHomes = CP.LockHomes;

@@ -31,6 +31,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <functional>
@@ -75,6 +76,10 @@ SimCounters &simCounters() {
 using namespace dynfb;
 using namespace dynfb::rt;
 using namespace dynfb::sim;
+
+// The flush below adds to the plain counters in place.
+static_assert(std::atomic_ref<uint64_t>::required_alignment <=
+              alignof(uint64_t));
 
 ThroughputCounters &sim::throughputCounters() {
   static ThroughputCounters C;
@@ -576,9 +581,13 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
   }
   {
     ThroughputCounters &TC = throughputCounters();
-    TC.MicroOps += TallyMicroOps;
-    TC.Iterations += TallyIterations;
-    ++TC.Intervals;
+    const auto Add = [](uint64_t &Counter, uint64_t N) {
+      std::atomic_ref<uint64_t>(Counter).fetch_add(N,
+                                                   std::memory_order_relaxed);
+    };
+    Add(TC.MicroOps, TallyMicroOps);
+    Add(TC.Iterations, TallyIterations);
+    Add(TC.Intervals, 1);
   }
   if constexpr (Topo) {
     obs::MetricsRegistry &M = obs::globalMetrics();

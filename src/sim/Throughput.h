@@ -22,8 +22,10 @@
 namespace dynfb::sim {
 
 /// Cumulative hot-loop work executed by every SimSectionRunner in this
-/// process. Flushed once per interval (plain integers, no atomics: the
-/// simulator is single-threaded).
+/// process. Runners on different threads (replay::explore runs what-ifs
+/// concurrently) flush once per interval with relaxed atomic adds through
+/// std::atomic_ref, so the struct itself stays plain and copyable: read or
+/// copy it only while no runner is in flight.
 struct ThroughputCounters {
   uint64_t MicroOps = 0;   ///< Executed micro-ops (compute/acquire/release).
   uint64_t Iterations = 0; ///< Parallel-loop iterations executed.

@@ -4,19 +4,24 @@
 //
 // Covers the src/replay subsystem (docs/REPLAY.md): trace materialization
 // and replay divergence detection, the run_spec meta round-trip, the
-// truncated-trace diagnostic, SimMachine checkpoint/restore identity and
-// the Explorer's checkpointed counterfactuals against fresh pinned runs.
+// truncated-trace diagnostic, SimMachine checkpoint/restore identity, the
+// Explorer's checkpointed counterfactuals against fresh pinned runs, and
+// concurrent exploration against a serial checkpoint/restore reference.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Factory.h"
 #include "apps/Harness.h"
+#include "fb/Controller.h"
 #include "fb/Sampling.h"
 #include "obs/Export.h"
+#include "perturb/Engine.h"
 #include "replay/Explorer.h"
 #include "replay/Replay.h"
 #include "rt/MachineModel.h"
 #include "sim/Backend.h"
+#include "support/StringUtils.h"
+#include "xform/VersionSpace.h"
 
 #include <gtest/gtest.h>
 #include <limits>
@@ -107,7 +112,7 @@ TEST(ReplayCheckpointTest, RestoreRerunsBitIdentical) {
 
 // The mainline the Explorer records while forking counterfactuals must be
 // the run the dynamic policy would have executed with no exploration at
-// all (restore() leaves no residue).
+// all (the what-ifs run on forked machines and leave no residue).
 TEST(ExplorerTest, MainlineMatchesUninterruptedRun) {
   const std::unique_ptr<apps::App> App = apps::createApp("string", 0.125);
   ASSERT_NE(App, nullptr);
@@ -144,13 +149,13 @@ TEST(ExplorerTest, CounterfactualsMatchFreshPinnedRuns) {
   size_t Checks = 0;
   for (unsigned V = 0; V < MaxVersions; ++V)
     for (const replay::WhatIf &G : replay::runPinned(*App, 4, *Model, V))
-      for (const replay::WhatIf *W : E.occurrence(G.Occurrence)) {
-        if (W->Version != G.Version)
+      for (const replay::WhatIf &W : E.occurrence(G.Occurrence)) {
+        if (W.Version != G.Version)
           continue;
         ++Checks;
-        EXPECT_EQ(W->DurationNanos, G.DurationNanos)
+        EXPECT_EQ(W.DurationNanos, G.DurationNanos)
             << "occurrence " << G.Occurrence << " version " << G.Version;
-        expectStatsEqual(W->Stats, G.Stats);
+        expectStatsEqual(W.Stats, G.Stats);
       }
   EXPECT_GT(Checks, 0u);
 
@@ -160,6 +165,180 @@ TEST(ExplorerTest, CounterfactualsMatchFreshPinnedRuns) {
   const std::string Report = replay::renderWhatIfReport(E);
   EXPECT_NE(Report.find("What-if exploration"), std::string::npos);
   EXPECT_NE(Report.find("Clairvoyant"), std::string::npos);
+}
+
+/// The exploration as it ran before what-ifs were forked onto their own
+/// machines: one backend, every version run in turn from the phase-boundary
+/// checkpoint and rewound with restore(), then the mainline. The serial
+/// reference the concurrent explore() must reproduce exactly.
+replay::Exploration exploreSerially(const apps::App &App, unsigned Procs,
+                                    const MachineModel &Model,
+                                    const fb::FeedbackConfig &Config,
+                                    const perturb::PerturbationEngine *Perturb) {
+  const std::unique_ptr<sim::SimBackend> Backend = App.makeSimBackend(
+      Procs, Model, apps::VersionSpec::dynamicFeedback());
+  Backend->setPerturbation(Perturb);
+  replay::Exploration E;
+  fb::FeedbackController Controller(Config, nullptr, &E.Decisions);
+  const Nanos Start = Backend->now();
+  for (const Phase &P : App.schedule()) {
+    if (P.K == Phase::Kind::Serial) {
+      Backend->runSerial(P.SerialNanos);
+      continue;
+    }
+    const sim::SimMachine::Checkpoint CP = Backend->machine().checkpoint();
+    const unsigned NumV = Backend->numVersions(P.SectionName);
+    for (unsigned V = 0; V < NumV; ++V) {
+      replay::WhatIf W;
+      W.Occurrence = E.Mainline.Occurrences.size();
+      W.Section = P.SectionName;
+      W.Version = V;
+      W.Label = Backend->beginSectionSim(P.SectionName)->versionLabel(V);
+      W.StartNanos = Backend->now();
+      W.Stats = runSectionPinned(*Backend, P.SectionName, V);
+      W.DurationNanos = Backend->now() - W.StartNanos;
+      E.WhatIfs.push_back(W);
+      Backend->machine().restore(CP);
+    }
+    const std::unique_ptr<IntervalRunner> Runner =
+        Backend->beginSection(P.SectionName);
+    fb::SectionExecutionTrace Trace =
+        Controller.executeSection(*Runner, P.SectionName);
+    E.Mainline.ParallelStats.merge(Trace.Total);
+    E.Mainline.Occurrences.push_back(std::move(Trace));
+  }
+  E.Mainline.TotalNanos = Backend->now() - Start;
+  return E;
+}
+
+std::string statsText(const OverheadStats &S) {
+  return std::to_string(S.AcquireReleasePairs) + "/" +
+         std::to_string(S.FailedAcquires) + "/" +
+         std::to_string(S.LockOpNanos) + "/" + std::to_string(S.WaitNanos) +
+         "/" + std::to_string(S.SchedNanos) + "/" +
+         std::to_string(S.ExecNanos);
+}
+
+/// Every field of a run result in canonical text: end time, aggregate
+/// stats, and each occurrence's window, stats, counters, chosen versions
+/// and sampled overhead series.
+std::string describeRun(const fb::RunResult &R) {
+  std::string Out = "total " + std::to_string(R.TotalNanos) + " " +
+                    statsText(R.ParallelStats) + "\n";
+  for (const fb::SectionExecutionTrace &O : R.Occurrences) {
+    Out += O.SectionName + " " + std::to_string(O.StartNanos) + "-" +
+           std::to_string(O.EndNanos) + " " + statsText(O.Total);
+    for (unsigned C :
+         {O.SamplingPhases, O.SampledIntervals, O.SkippedByCutoff,
+          O.DegenerateIntervals, O.EarlyResamples, O.HysteresisHolds,
+          O.Quarantines, O.Reprobes, O.WatchdogResamples, O.DegradedPhases,
+          O.Prunes, O.Promotes})
+      Out += " " + std::to_string(C);
+    Out += " sampled_ns " + std::to_string(O.SampledNanos) + " chosen";
+    for (unsigned V : O.ChosenVersions)
+      Out += " " + std::to_string(V);
+    for (const Series &S : O.SampledOverheads.all()) {
+      Out += " " + S.Label + ":";
+      for (size_t I = 0; I < S.size(); ++I)
+        Out += format(" %.17g,%.17g", S.Times[I], S.Values[I]);
+    }
+    for (const auto &[Label, Stat] : O.EffectiveSamplingByVersion)
+      Out += format(" %s=%llu,%.17g,%.17g", Label.c_str(),
+                    static_cast<unsigned long long>(Stat.count()),
+                    Stat.sum(), Stat.stddev());
+    Out += "\n";
+  }
+  return Out;
+}
+
+std::string decisionJsonl(const obs::DecisionLog &Log) {
+  obs::RunTrace Trace;
+  Trace.Decisions = Log.events();
+  return obs::toJsonl(Trace);
+}
+
+/// Runs explore() three times against the serial reference: every what-if
+/// field, the mainline result and the decision log must be equal each time.
+void expectExploreMatchesSerial(const apps::App &App, unsigned Procs,
+                                const MachineModel &Model,
+                                const fb::FeedbackConfig &Config,
+                                const perturb::PerturbationEngine *Perturb) {
+  const replay::Exploration Ref =
+      exploreSerially(App, Procs, Model, Config, Perturb);
+  ASSERT_FALSE(Ref.WhatIfs.empty());
+  const std::string RefRun = describeRun(Ref.Mainline);
+  const std::string RefLog = decisionJsonl(Ref.Decisions);
+  for (int Repeat = 0; Repeat < 3; ++Repeat) {
+    SCOPED_TRACE("repeat " + std::to_string(Repeat));
+    const replay::Exploration E =
+        replay::explore(App, Procs, Model, Config, Perturb);
+    ASSERT_EQ(E.WhatIfs.size(), Ref.WhatIfs.size());
+    for (size_t I = 0; I < E.WhatIfs.size(); ++I) {
+      const replay::WhatIf &W = E.WhatIfs[I], &R = Ref.WhatIfs[I];
+      SCOPED_TRACE("what-if " + std::to_string(I));
+      EXPECT_EQ(W.Occurrence, R.Occurrence);
+      EXPECT_EQ(W.Section, R.Section);
+      EXPECT_EQ(W.Version, R.Version);
+      EXPECT_EQ(W.Label, R.Label);
+      EXPECT_EQ(W.StartNanos, R.StartNanos);
+      EXPECT_EQ(W.DurationNanos, R.DurationNanos);
+      expectStatsEqual(W.Stats, R.Stats);
+    }
+    EXPECT_EQ(describeRun(E.Mainline), RefRun);
+    EXPECT_EQ(decisionJsonl(E.Decisions), RefLog);
+  }
+}
+
+// Concurrent exploration is deterministic: the forked what-ifs and the
+// overlapped mainline reproduce the serial checkpoint/restore exploration
+// exactly. Barnes-Hut on dash-numa prices locks from the lock-home state
+// each fork must carry over from the checkpoint.
+TEST(ExplorerDeterminismTest, BarnesHutDashNumaMatchesSerial) {
+  const std::unique_ptr<apps::App> App = apps::createApp("barnes_hut", 0.125);
+  ASSERT_NE(App, nullptr);
+  const std::unique_ptr<MachineModel> Model =
+      createMachineModel("dash-numa");
+  ASSERT_NE(Model, nullptr);
+  expectExploreMatchesSerial(*App, 8, *Model, {}, nullptr);
+}
+
+// A contention burst perturbs every fork exactly as it perturbs the
+// mainline, with the drift and hysteresis knobs reacting to it.
+TEST(ExplorerDeterminismTest, StringContendPerturbationMatchesSerial) {
+  const std::unique_ptr<apps::App> App = apps::createApp("string", 0.125);
+  ASSERT_NE(App, nullptr);
+  const std::unique_ptr<MachineModel> Model =
+      createMachineModel("dash-flat");
+  ASSERT_NE(Model, nullptr);
+  std::string Error;
+  std::optional<perturb::PerturbationSchedule> Schedule =
+      perturb::parseSchedule("contend@0.5s-2.5s:extra=300us", Error);
+  ASSERT_TRUE(Schedule.has_value()) << Error;
+  const perturb::PerturbationEngine Engine(std::move(*Schedule));
+  fb::FeedbackConfig Config;
+  Config.SwitchHysteresis = 0.05;
+  Config.DriftResampleThreshold = 0.1;
+  expectExploreMatchesSerial(*App, 4, *Model, Config, &Engine);
+}
+
+// The sync x sched space has more versions than most hosts have cores, so
+// workers take several versions each.
+TEST(ExplorerDeterminismTest, WaterSyncSchedSpaceMatchesSerial) {
+  std::string Error;
+  const std::optional<xform::VersionSpace> Space =
+      xform::VersionSpace::parse("sync,sched", "8,32", Error);
+  ASSERT_TRUE(Space.has_value()) << Error;
+  const std::unique_ptr<apps::App> App =
+      apps::createApp("water", 0.125, *Space);
+  ASSERT_NE(App, nullptr);
+  const std::unique_ptr<MachineModel> Model =
+      createMachineModel("dash-flat");
+  ASSERT_NE(Model, nullptr);
+  fb::FeedbackConfig Config;
+  Config.SpanSectionExecutions = true;
+  Config.TargetSamplingNanos = millisToNanos(2);
+  Config.TargetProductionNanos = secondsToNanos(2);
+  expectExploreMatchesSerial(*App, 4, *Model, Config, nullptr);
 }
 
 // ------------------------- Record / replay ---------------------------------
