@@ -4,17 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Event-driven simulation. Runnable processors live in a min-heap keyed by
-// their local virtual clock; the processor with the smallest clock executes
-// its next micro-op. Processing in global time order makes lock request
-// ordering exact: an acquire processed later was issued later. Blocked
-// processors leave the heap and are re-inserted when the lock holder's
-// release grants them the lock (FIFO), with their waiting time converted
-// into counted failed acquire attempts, exactly how the paper's
-// instrumentation accounts waiting overhead.
+// Event-driven simulation. The processor with the smallest (local virtual
+// clock, index) key executes its next micro-op. Processing in global time
+// order makes lock request ordering exact: an acquire processed later was
+// issued later. The running processor stays out of the ready queue (a
+// min-heap over the other runnable processors) for as long as its key stays
+// below the queue's front, so most micro-ops pay no heap operation and the
+// rest pay one sift-down (see ReadyQueue). Blocked processors leave the
+// queue and are re-inserted when the lock holder's release grants them the
+// lock (FIFO), with their waiting time converted into counted failed
+// acquire attempts, exactly how the paper's instrumentation accounts
+// waiting overhead.
 //
 // The loop is allocation-free in steady state: the per-interval state
-// (processors, locks, ready heap) lives in a reusable IntervalState that is
+// (processors, locks, ready queue) lives in a reusable IntervalState that is
 // reset -- not reallocated -- each interval, iteration micro-op sequences
 // come from the backend-owned EmittedOpsCache (or a reused per-processor
 // scratch buffer on the live-interpretation fallback), and the whole loop
@@ -123,27 +126,77 @@ struct SimLock {
   uint32_t NumWaiters = 0;
 };
 
-struct HeapEntry {
+/// A processor's run-order key: earlier clock first, lower index on ties.
+struct ReadyKey {
   Nanos T;
   uint32_t P;
-  friend bool operator>(const HeapEntry &A, const HeapEntry &B) {
-    if (A.T != B.T)
-      return A.T > B.T;
-    return A.P > B.P;
+  friend bool operator<(const ReadyKey &A, const ReadyKey &B) {
+    return A.T != B.T ? A.T < B.T : A.P < B.P;
   }
+  friend bool operator>(const ReadyKey &A, const ReadyKey &B) { return B < A; }
+};
+
+/// The runnable processors other than the running one, as a min-heap of
+/// their keys. Keys are unique -- a processor is queued at most once and the
+/// running one never -- so "strictly lower than the front" means exactly
+/// "earliest of all runnable processors": keeping the running processor out
+/// of the heap runs processors in the same order as popping and re-pushing
+/// it after every micro-op would.
+class ReadyQueue {
+public:
+  void clear() { Heap.clear(); }
+
+  void push(Nanos T, uint32_t P) {
+    Heap.push_back(ReadyKey{T, P});
+    std::push_heap(Heap.begin(), Heap.end(), std::greater<ReadyKey>());
+  }
+
+  /// Removes and returns the earliest queued processor; NoProc when empty
+  /// (the running processor stopped or blocked).
+  uint32_t pop() {
+    if (Heap.empty())
+      return NoProc;
+    std::pop_heap(Heap.begin(), Heap.end(), std::greater<ReadyKey>());
+    const uint32_t P = Heap.back().P;
+    Heap.pop_back();
+    return P;
+  }
+
+  /// The running processor \p P is still runnable, now at clock \p T.
+  /// Returns the processor to run next: \p P itself while its key is below
+  /// the front's (no heap operation), otherwise the front, whose place \p P
+  /// takes with one sift-down.
+  uint32_t next(Nanos T, uint32_t P) {
+    const ReadyKey Key{T, P};
+    if (Heap.empty() || Key < Heap.front())
+      return P;
+    const uint32_t Front = Heap.front().P;
+    const size_t N = Heap.size();
+    size_t Hole = 0;
+    for (size_t Child = 1; Child < N; Child = 2 * Hole + 1) {
+      if (Child + 1 < N && Heap[Child + 1] < Heap[Child])
+        ++Child;
+      if (Key < Heap[Child])
+        break;
+      Heap[Hole] = Heap[Child];
+      Hole = Child;
+    }
+    Heap[Hole] = Key;
+    return Front;
+  }
+
+private:
+  std::vector<ReadyKey> Heap;
 };
 
 } // namespace
 
 /// The per-interval simulation state, hoisted out of runInterval so buffers
-/// are reset rather than reallocated each interval. (T, P) heap keys are
-/// unique -- a processor is in the heap at most once -- so the
-/// push_heap/pop_heap order is identical to the std::priority_queue the
-/// seed used.
+/// are reset rather than reallocated each interval.
 struct SimSectionRunner::IntervalState {
   std::vector<Proc> Procs;
   std::vector<SimLock> Locks;
-  std::vector<HeapEntry> Heap;
+  ReadyQueue Ready;
   std::vector<uint64_t> NodeContended;
 };
 
@@ -246,15 +299,9 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
   // interval of a run.
   S.Locks.assign(Binding.objectCount(), SimLock{});
   S.NodeContended.assign(Topo ? NumNodes : 0, 0);
-  S.Heap.clear();
   std::vector<Proc> &Procs = S.Procs;
   std::vector<SimLock> &Locks = S.Locks;
-  std::vector<HeapEntry> &Heap = S.Heap;
-
-  const auto HeapPush = [&Heap](Nanos T, uint32_t ProcIdx) {
-    Heap.push_back(HeapEntry{T, ProcIdx});
-    std::push_heap(Heap.begin(), Heap.end(), std::greater<HeapEntry>());
-  };
+  ReadyQueue &Ready = S.Ready;
 
   // Prices one successful acquire and moves the lock's line to the
   // acquirer's cluster. \p Depth is the number of waiters still queued.
@@ -292,8 +339,11 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
     }
   };
 
-  for (unsigned I = 0; I < P; ++I)
-    HeapPush(Start, I);
+  // Every clock starts at Start, so processor 0 runs first and the rest
+  // queue in index order.
+  Ready.clear();
+  for (uint32_t I = 1; I < P; ++I)
+    Ready.push(Start, I);
 
   if (Trace) {
     if (!Trace->Cumulative)
@@ -355,12 +405,13 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
   const bool VariableChunk = Sched.variableChunk();
   const uint64_t Chunk = Sched.chunkIters();
 
-  while (!Heap.empty()) {
-    std::pop_heap(Heap.begin(), Heap.end(), std::greater<HeapEntry>());
-    const HeapEntry Top = Heap.back();
-    Heap.pop_back();
-    Proc &Pr = Procs[Top.P];
-    assert(!Pr.Stopped && "stopped processor in ready heap");
+  // Each pass runs one step of processor Cur: the earliest runnable one.
+  // A step that leaves it runnable hands over through Ready.next; stopping
+  // or blocking hands over through Ready.pop.
+  uint32_t Cur = 0;
+  while (Cur != NoProc) {
+    Proc &Pr = Procs[Cur];
+    assert(!Pr.Stopped && "stopped processor in ready queue");
 
     if (!Pr.HasIteration) {
       if (Pr.ClaimNext >= Pr.ClaimEnd) {
@@ -368,19 +419,20 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
         // under dynamic scheduling).
         ++TallySchedFetches;
         const Nanos FetchCost =
-            Topo ? MM.schedFetchNanos(Top.P) : CM.SchedFetchNanos;
+            Topo ? MM.schedFetchNanos(Cur) : CM.SchedFetchNanos;
         Pr.Clock += FetchCost;
         if (SchedInstrumented)
           Pr.Stats.SchedNanos += FetchCost;
         if (Trace)
-          Trace->Procs[Top.P].OverheadNanos += FetchCost;
+          Trace->Procs[Cur].OverheadNanos += FetchCost;
         if (NextIter >= NumIterations) {
           Stop(Pr);
+          Cur = Ready.pop();
           continue;
         }
         const uint64_t Claim =
             VariableChunk ? Sched.fetchIters(NumIterations - NextIter,
-                                             NumIterations, P, Top.P)
+                                             NumIterations, P, Cur)
                           : Chunk;
         Pr.ClaimNext = NextIter;
         Pr.ClaimEnd = std::min(NextIter + Claim, NumIterations);
@@ -397,8 +449,8 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       // checked at chunk boundaries), so ops-at-fetch equals ops-executed.
       TallyMicroOps += Pr.NumOps;
       if (Trace)
-        ++Trace->Procs[Top.P].Iterations;
-      HeapPush(Pr.Clock, Top.P);
+        ++Trace->Procs[Cur].Iterations;
+      Cur = Ready.next(Pr.Clock, Cur);
       continue;
     }
 
@@ -407,13 +459,13 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       if (Pr.ClaimNext < Pr.ClaimEnd) {
         // Mid-chunk iteration boundary: the claimed chunk continues
         // back-to-back -- no timer poll, not a potential switch point.
-        HeapPush(Pr.Clock, Top.P);
+        Cur = Ready.next(Pr.Clock, Cur);
         continue;
       }
       // Chunk boundary, a potential switch point: poll the timer.
-      Nanos TimerCost = Topo ? MM.timerReadNanos(Top.P) : CM.TimerReadNanos;
+      Nanos TimerCost = Topo ? MM.timerReadNanos(Cur) : CM.TimerReadNanos;
       if (PE) {
-        Nanos Noise = PE->timerNoise(SectionName, Top.P, Pr.Clock);
+        Nanos Noise = PE->timerNoise(SectionName, Cur, Pr.Clock);
         if (TimerCost + Noise < 0)
           Noise = -TimerCost; // A read can be fast, never negative.
         TimerCost += Noise;
@@ -421,11 +473,13 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       }
       Pr.Clock += TimerCost;
       if (Trace)
-        Trace->Procs[Top.P].OverheadNanos += TimerCost;
-      if (Pr.Clock >= Deadline)
+        Trace->Procs[Cur].OverheadNanos += TimerCost;
+      if (Pr.Clock >= Deadline) {
         Stop(Pr);
-      else
-        HeapPush(Pr.Clock, Top.P);
+        Cur = Ready.pop();
+      } else {
+        Cur = Ready.next(Pr.Clock, Cur);
+      }
       continue;
     }
 
@@ -434,7 +488,7 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
     case MicroOp::Kind::Compute: {
       Nanos Dur = Op.Dur;
       if (PE) {
-        const double Scale = PE->computeScale(SectionName, Top.P, Pr.Clock);
+        const double Scale = PE->computeScale(SectionName, Cur, Pr.Clock);
         if (Scale != 1.0) {
           const Nanos Scaled = std::max<Nanos>(
               0, static_cast<Nanos>(
@@ -446,16 +500,15 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       Pr.Clock += Dur;
       ++Pr.Pc;
       if (Trace)
-        Trace->Procs[Top.P].ComputeNanos += Dur;
-      HeapPush(Pr.Clock, Top.P);
+        Trace->Procs[Cur].ComputeNanos += Dur;
       break;
     }
 
     case MicroOp::Kind::Acquire: {
       SimLock &L = Locks[Op.Obj];
       if (!L.Held) {
-        InjectContention(Pr, Top.P, Op.Obj);
-        const Nanos Cost = AcquirePrice(Top.P, Op.Obj, 0) +
+        InjectContention(Pr, Cur, Op.Obj);
+        const Nanos Cost = AcquirePrice(Cur, Op.Obj, 0) +
                            LockExtra(Pr.Clock);
         L.Held = true;
         ++TallyAcquires;
@@ -464,20 +517,21 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
         Pr.Clock += Cost;
         ++Pr.Pc;
         if (Trace) {
-          Trace->Procs[Top.P].LockOpNanos += Cost;
+          Trace->Procs[Cur].LockOpNanos += Cost;
           ++Trace->Locks[Op.Obj].Acquires;
         }
-        HeapPush(Pr.Clock, Top.P);
       } else {
         // Block: the processor spins until the holder's release grants it
         // the lock. Its clock stays at the request time.
         Pr.NextWaiter = NoProc;
         if (L.WaitTail == NoProc)
-          L.WaitHead = Top.P;
+          L.WaitHead = Cur;
         else
-          Procs[L.WaitTail].NextWaiter = Top.P;
-        L.WaitTail = Top.P;
+          Procs[L.WaitTail].NextWaiter = Cur;
+        L.WaitTail = Cur;
         ++L.NumWaiters;
+        Cur = Ready.pop();
+        continue;
       }
       break;
     }
@@ -485,12 +539,12 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
     case MicroOp::Kind::Release: {
       SimLock &L = Locks[Op.Obj];
       assert(L.Held && "release of a free lock");
-      const Nanos RelTotal = ReleasePrice(Top.P, Op.Obj) + LockExtra(Pr.Clock);
+      const Nanos RelTotal = ReleasePrice(Cur, Op.Obj) + LockExtra(Pr.Clock);
       Pr.Stats.LockOpNanos += RelTotal;
       Pr.Clock += RelTotal;
       ++Pr.Pc;
       if (Trace)
-        Trace->Procs[Top.P].LockOpNanos += RelTotal;
+        Trace->Procs[Cur].LockOpNanos += RelTotal;
       if (L.WaitHead != NoProc) {
         const uint32_t W = L.WaitHead;
         Proc &Waiter = Procs[W];
@@ -531,14 +585,14 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
         ++Waiter.Pc;
         if (Trace)
           Trace->Procs[W].LockOpNanos += WAcqCost;
-        HeapPush(Waiter.Clock, W);
+        Ready.push(Waiter.Clock, W);
       } else {
         L.Held = false;
       }
-      HeapPush(Pr.Clock, Top.P);
       break;
     }
     }
+    Cur = Ready.next(Pr.Clock, Cur);
   }
 
   IntervalReport Report;

@@ -93,7 +93,7 @@ public:
 
 private:
   /// Reusable per-interval simulation state (processors, locks, ready
-  /// heap), reset -- not reallocated -- each interval; see SectionSim.cpp.
+  /// queue), reset -- not reallocated -- each interval; see SectionSim.cpp.
   struct IntervalState;
 
   template <bool Topo>

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GoldenFile.h"
 #include "fb/Controller.h"
 #include "fb/Driver.h"
 #include "fb/Sampling.h"
@@ -11,11 +12,8 @@
 #include "obs/Metrics.h"
 #include "support/StringUtils.h"
 
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <gtest/gtest.h>
-#include <sstream>
 
 using namespace dynfb;
 using namespace dynfb::fb;
@@ -1203,29 +1201,7 @@ TEST_P(ControllerCharacterizationTest, MatchesExpectedFile) {
   const std::string Path =
       format("%s/controller/%s_%s_%s.txt", DYNFB_TEST_GOLDEN_DIR, Case.Mode,
              Case.Knobs, Case.Runner);
-  const std::string Actual = runCharacterization(Case);
-  if (std::getenv("DYNFB_UPDATE_GOLDEN")) {
-    std::ofstream(Path, std::ios::binary) << Actual;
-    GTEST_SKIP() << "rewrote " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing expected file " << Path
-                  << " (record it with DYNFB_UPDATE_GOLDEN=1)";
-  std::stringstream Expected;
-  Expected << In.rdbuf();
-  // Compare line by line so a failure names the first diverging line.
-  std::istringstream A(Actual), E(Expected.str());
-  std::string AL, EL;
-  for (unsigned Line = 1;; ++Line) {
-    const bool HaveA = static_cast<bool>(std::getline(A, AL));
-    const bool HaveE = static_cast<bool>(std::getline(E, EL));
-    if (!HaveA && !HaveE)
-      break;
-    ASSERT_TRUE(HaveA && HaveE && AL == EL)
-        << Path << ":" << Line << " differs\n  expected: "
-        << (HaveE ? EL : "<end of file>")
-        << "\n  actual:   " << (HaveA ? AL : "<end of output>");
-  }
+  test::expectMatchesGoldenFile(Path, runCharacterization(Case));
 }
 
 std::vector<CharacterizationCase> characterizationCases() {

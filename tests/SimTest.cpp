@@ -4,13 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GoldenFile.h"
 #include "ir/Builder.h"
+#include "perturb/Engine.h"
 #include "sim/Backend.h"
 #include "sim/SectionSim.h"
+#include "support/StringUtils.h"
 
+#include <algorithm>
 #include <array>
 #include <gtest/gtest.h>
 #include <limits>
+#include <memory>
+#include <optional>
 
 using namespace dynfb;
 using namespace dynfb::ir;
@@ -280,7 +286,7 @@ TEST(SimTest, ZeroFailedAcquireCostRunsToCompletion) {
 }
 
 TEST(SimTest, ReusedIntervalStateIsBitIdentical) {
-  // The per-interval simulation state (processors, locks, ready heap) is
+  // The per-interval simulation state (processors, locks, ready queue) is
   // reset rather than reallocated. A contended two-interval pass repeated
   // on the same runner after reset() -- and compared against a fresh
   // runner -- must agree bit for bit; any stale lock waiter list or
@@ -356,5 +362,209 @@ TEST(SimBackendTest, RegistersAndBeginsSections) {
   Backend.runSerial(1000);
   EXPECT_EQ(Backend.now(), 1000);
 }
+
+// ---------------- Event-loop characterization (pinned behaviour) -----------
+//
+// One section simulated under a matrix of machines, schedules and lock
+// layouts, each without and with every kind of perturbation engine, split
+// over several intervals. Every IntervalReport field and the attached
+// IntervalTrace's per-processor and per-lock summaries are compared against
+// expected files under tests/golden/sim/, so any change to the order in
+// which the event loop runs processors shows up here. After a deliberate
+// behaviour change, rerun with DYNFB_UPDATE_GOLDEN=1 to rewrite the files,
+// and review the diff.
+
+/// Iterations are: compute; acquire(this); update; release(this); compute.
+/// The trailing compute lets a releaser run on while its granted waiter
+/// resumes.
+struct CharacterizationWorkload {
+  Module M{"characterization"};
+  Method *Entry = nullptr;
+
+  CharacterizationWorkload() {
+    ClassDecl *C = M.createClass("c");
+    const unsigned F = C->addField("f");
+    Entry = M.createMethod("work", C);
+    MethodBuilder B(M, Entry);
+    B.compute();
+    B.acquire(Receiver::thisObj());
+    B.update(Receiver::thisObj(), F, BinOp::Add, M.exprConst(1.0));
+    B.release(Receiver::thisObj());
+    B.compute();
+  }
+};
+
+class CharacterizationBinding final : public DataBinding {
+public:
+  static constexpr uint64_t Iterations = 64;
+  bool SharedLock = false; ///< All iterations lock object 0.
+  bool EqualCosts = false; ///< Every compute kernel costs the same.
+
+  uint64_t iterationCount() const override { return Iterations; }
+  uint32_t objectCount() const override { return Iterations; }
+  ObjectId thisObject(uint64_t Iter) const override {
+    return SharedLock ? 0 : static_cast<ObjectId>(Iter);
+  }
+  std::vector<ObjRef> sectionArgs(uint64_t) const override { return {}; }
+  ObjectId elementOf(ArrayId, uint64_t, const LoopCtx &) const override {
+    return 0;
+  }
+  uint64_t tripCount(unsigned, const LoopCtx &) const override { return 1; }
+  Nanos computeNanos(unsigned CostClass, const LoopCtx &Ctx) const override {
+    if (EqualCosts)
+      return 30000;
+    return 8000 + static_cast<Nanos>((Ctx.Iter * 7919 + CostClass * 31) % 13) *
+                      3000;
+  }
+  int64_t iterationClass(uint64_t Iter) const override {
+    return static_cast<int64_t>(Iter);
+  }
+};
+
+struct SimCharacterizationCase {
+  const char *Machine; ///< dash-flat or dash-numa.
+  const char *Sched;   ///< dynamic, chunk8 or fac.
+  const char *Locks;   ///< shared, private or zero_cost (shared, free ops).
+};
+
+/// The perturbation variants every case runs: none, then one engine per
+/// fault class the event loop queries (compute scaling covers both
+/// processor slowdowns and phase shifts).
+constexpr std::array<std::pair<const char *, const char *>, 5>
+    CharacterizationPerturbations{{
+        {"none", ""},
+        {"contention", "contend@60us-700us:extra=20us:obj=0-31"},
+        {"lock_hold", "lockhold@30us-600us:extra=4us"},
+        {"timer_noise", "timernoise@0-inf:amp=3us:seed=7"},
+        {"compute_scale",
+         "slowdown@50us-800us:factor=1.7:proc=3,phaseshift@400us-inf:"
+         "factor=0.6"},
+    }};
+
+/// The case's test name and expected-file stem, e.g. dash_flat_fac_shared.
+std::string simCaseName(const SimCharacterizationCase &Case) {
+  std::string Name = format("%s_%s_%s", Case.Machine, Case.Sched, Case.Locks);
+  std::replace(Name.begin(), Name.end(), '-', '_');
+  return Name;
+}
+
+std::unique_ptr<MachineModel>
+characterizationModel(const SimCharacterizationCase &Case) {
+  std::unique_ptr<MachineModel> Model = createMachineModel(Case.Machine);
+  if (std::string(Case.Locks) != "zero_cost")
+    return Model;
+  for (const std::string &Name : Model->paramNames()) {
+    if (Name.find("Acquire") != std::string::npos || Name == "ReleaseNanos" ||
+        Name == "MigrateHopNanos" || Name == "InstrumentNanos") {
+      EXPECT_TRUE(Model->setParam(Name, 0)) << Name;
+    }
+  }
+  return Model;
+}
+
+SchedSpec characterizationSched(const SimCharacterizationCase &Case) {
+  const std::string Sched = Case.Sched;
+  if (Sched == "chunk8")
+    return SchedSpec::chunked(8);
+  if (Sched == "fac")
+    return SchedSpec::factoring();
+  return SchedSpec::dynamic();
+}
+
+/// Runs the section to completion in intervals of a fixed target and
+/// renders each interval's report and trace.
+std::string runSimCharacterization(const SimCharacterizationCase &Case,
+                                   const perturb::PerturbationEngine *Engine) {
+  CharacterizationWorkload W;
+  CharacterizationBinding B;
+  B.SharedLock = std::string(Case.Locks) != "private";
+  B.EqualCosts = std::string(Case.Locks) == "zero_cost";
+  // Six processors span both dash-numa clusters.
+  SimMachine Machine(6, characterizationModel(Case));
+  SimSectionRunner Runner(
+      Machine, B, {SimVersion{"only", W.Entry, characterizationSched(Case)}},
+      /*Instrumented=*/true);
+  std::vector<EmittedOpsCache> Caches(1);
+  Runner.attachOpsCaches(&Caches);
+  Runner.setPerturbation(Engine, "S");
+  IntervalTrace Trace;
+  Runner.attachTrace(&Trace);
+
+  std::string Out;
+  unsigned Intervals = 0;
+  while (!Runner.done() && Intervals < 100) {
+    const IntervalReport R = Runner.runInterval(0, 60000);
+    const OverheadStats &S = R.Stats;
+    Out += format("interval %u effective=%lld finished=%d injected=%lld "
+                  "pairs=%llu failed=%llu lock=%lld wait=%lld sched=%lld "
+                  "exec=%lld now=%lld\n",
+                  Intervals++, static_cast<long long>(R.EffectiveNanos),
+                  R.Finished ? 1 : 0, static_cast<long long>(R.InjectedNanos),
+                  static_cast<unsigned long long>(S.AcquireReleasePairs),
+                  static_cast<unsigned long long>(S.FailedAcquires),
+                  static_cast<long long>(S.LockOpNanos),
+                  static_cast<long long>(S.WaitNanos),
+                  static_cast<long long>(S.SchedNanos),
+                  static_cast<long long>(S.ExecNanos),
+                  static_cast<long long>(Machine.now()));
+    for (size_t P = 0; P < Trace.Procs.size(); ++P) {
+      const IntervalTrace::ProcSummary &PS = Trace.Procs[P];
+      Out += format("  proc %zu compute=%lld lock=%lld wait=%lld "
+                    "overhead=%lld iterations=%llu\n",
+                    P, static_cast<long long>(PS.ComputeNanos),
+                    static_cast<long long>(PS.LockOpNanos),
+                    static_cast<long long>(PS.WaitNanos),
+                    static_cast<long long>(PS.OverheadNanos),
+                    static_cast<unsigned long long>(PS.Iterations));
+    }
+    for (const auto &[Obj, LS] : Trace.Locks)
+      Out += format("  lock %u acquires=%llu contended=%llu wait=%lld\n", Obj,
+                    static_cast<unsigned long long>(LS.Acquires),
+                    static_cast<unsigned long long>(LS.Contended),
+                    static_cast<long long>(LS.WaitNanos));
+  }
+  EXPECT_TRUE(Runner.done());
+  EXPECT_GE(Intervals, 2u) << "the section must span several intervals";
+  return Out;
+}
+
+class SimCharacterizationTest
+    : public ::testing::TestWithParam<SimCharacterizationCase> {};
+
+TEST_P(SimCharacterizationTest, MatchesExpectedFile) {
+  const SimCharacterizationCase &Case = GetParam();
+  std::string Actual;
+  for (const auto &[Name, Spec] : CharacterizationPerturbations) {
+    std::optional<perturb::PerturbationEngine> Engine;
+    if (*Spec) {
+      std::string Error;
+      std::optional<perturb::PerturbationSchedule> Sched =
+          perturb::parseSchedule(Spec, Error);
+      ASSERT_TRUE(Sched) << Error;
+      Engine.emplace(std::move(*Sched));
+    }
+    Actual += format("perturbation %s\n", Name);
+    Actual += runSimCharacterization(Case, Engine ? &*Engine : nullptr);
+  }
+  test::expectMatchesGoldenFile(format("%s/sim/%s.txt", DYNFB_TEST_GOLDEN_DIR,
+                                       simCaseName(Case).c_str()),
+                                Actual);
+}
+
+std::vector<SimCharacterizationCase> simCharacterizationCases() {
+  std::vector<SimCharacterizationCase> Cases;
+  for (const char *Machine : {"dash-flat", "dash-numa"})
+    for (const char *Sched : {"dynamic", "chunk8", "fac"})
+      for (const char *Locks : {"shared", "private", "zero_cost"})
+        Cases.push_back({Machine, Sched, Locks});
+  return Cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, SimCharacterizationTest,
+    ::testing::ValuesIn(simCharacterizationCases()),
+    [](const ::testing::TestParamInfo<SimCharacterizationCase> &Info) {
+      return simCaseName(Info.param);
+    });
 
 } // namespace
