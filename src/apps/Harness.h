@@ -19,7 +19,7 @@
 #include "apps/App.h"
 #include "fb/Driver.h"
 #include "obs/Export.h"
-#include "sim/Trace.h"
+#include "rt/SectionTrace.h"
 
 #include <map>
 #include <vector>
@@ -45,7 +45,7 @@ struct RunObservation {
   /// IntervalTrace per section into SectionTraces (lock contention and
   /// per-processor time decomposition over the whole run).
   bool CollectSectionTraces = false;
-  std::map<std::string, sim::IntervalTrace> SectionTraces;
+  std::map<std::string, rt::IntervalTrace> SectionTraces;
 };
 
 /// Which execution substrate runApp builds, plus its native-only knobs.

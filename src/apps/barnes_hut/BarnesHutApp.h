@@ -33,7 +33,6 @@ namespace dynfb::apps::bh {
 struct BarnesHutConfig {
   uint32_t NumBodies = 16384;  ///< Paper input: 16,384 bodies.
   double Theta = 1.15;         ///< Opening criterion.
-  double SofteningEps = 0.05;  ///< Plummer softening.
   uint64_t Seed = 42;
   unsigned ForcesExecutions = 2; ///< The paper's run executes FORCES twice.
   rt::Nanos InteractNanos = 21800; ///< One interaction kernel.

@@ -115,45 +115,51 @@ void Octree::computeMass(int32_t NodeIdx) {
 
 double Octree::rootMass() const { return Nodes[0].Mass; }
 
-static void accumulate(const Vec3 &From, const Vec3 &To, double Mass,
-                       double Eps, ForceResult &Out) {
-  const Vec3 D = To - From;
-  const double R2 = D.norm2() + Eps * Eps;
-  const double R = std::sqrt(R2);
-  const double Inv3 = 1.0 / (R2 * R);
-  Out.Acc += D * (Mass * Inv3);
-  Out.Phi -= Mass / R;
-  ++Out.Interactions;
-}
-
-void Octree::forceRec(int32_t NodeIdx, uint32_t BodyIdx, double Theta,
-                      double Eps, ForceResult &Out) const {
+template <typename Visit>
+void Octree::walk(int32_t NodeIdx, uint32_t BodyIdx, double Theta,
+                  Visit &V) const {
   const Node &N = Nodes[NodeIdx];
   if (N.Mass <= 0)
     return;
-  const Body &B = Bodies[BodyIdx];
   if (N.IsLeaf) {
     if (N.BodyIndex >= 0 && static_cast<uint32_t>(N.BodyIndex) != BodyIdx)
-      accumulate(B.Pos, N.CoM, N.Mass, Eps, Out);
+      V(N);
     return;
   }
-  const double Dist2 = (N.CoM - B.Pos).norm2();
+  const double Dist2 = (N.CoM - Bodies[BodyIdx].Pos).norm2();
   const double Size = 2.0 * N.HalfSize;
   if (Size * Size < Theta * Theta * Dist2) {
     // Far enough: interact with the cell's center of mass.
-    accumulate(B.Pos, N.CoM, N.Mass, Eps, Out);
+    V(N);
     return;
   }
   for (int32_t C : N.Children)
     if (C >= 0)
-      forceRec(C, BodyIdx, Theta, Eps, Out);
+      walk(C, BodyIdx, Theta, V);
 }
 
 ForceResult Octree::computeForce(uint32_t Index, double Theta,
                                  double Eps) const {
   ForceResult Out;
-  forceRec(0, Index, Theta, Eps, Out);
+  const Vec3 &From = Bodies[Index].Pos;
+  auto Accumulate = [&](const Node &N) {
+    const Vec3 D = N.CoM - From;
+    const double R2 = D.norm2() + Eps * Eps;
+    const double R = std::sqrt(R2);
+    const double Inv3 = 1.0 / (R2 * R);
+    Out.Acc += D * (N.Mass * Inv3);
+    Out.Phi -= N.Mass / R;
+    ++Out.Interactions;
+  };
+  walk(0, Index, Theta, Accumulate);
   return Out;
+}
+
+uint32_t Octree::countInteractions(uint32_t Index, double Theta) const {
+  uint32_t Count = 0;
+  auto Tally = [&](const Node &) { ++Count; };
+  walk(0, Index, Theta, Tally);
+  return Count;
 }
 
 std::vector<Body> apps::bh::makePlummerBodies(uint32_t N, uint64_t Seed) {

@@ -65,6 +65,10 @@ public:
   /// and Plummer softening \p Eps.
   ForceResult computeForce(uint32_t Index, double Theta, double Eps) const;
 
+  /// computeForce(Index, Theta, Eps).Interactions for any Eps, without the
+  /// force arithmetic: the same traversal and opening test, counting only.
+  uint32_t countInteractions(uint32_t Index, double Theta) const;
+
   /// Number of tree nodes (for tests).
   size_t nodeCount() const { return Nodes.size(); }
 
@@ -85,8 +89,10 @@ private:
   void insert(int32_t NodeIdx, uint32_t BodyIdx, int Depth);
   int32_t childFor(int32_t NodeIdx, const Vec3 &P);
   void computeMass(int32_t NodeIdx);
-  void forceRec(int32_t NodeIdx, uint32_t BodyIdx, double Theta, double Eps,
-                ForceResult &Out) const;
+  /// The theta-criterion traversal for body \p BodyIdx below \p NodeIdx:
+  /// calls \p V on every node (leaf or far cell) the body interacts with.
+  template <typename Visit>
+  void walk(int32_t NodeIdx, uint32_t BodyIdx, double Theta, Visit &V) const;
 
   const std::vector<Body> &Bodies;
   std::vector<Node> Nodes;

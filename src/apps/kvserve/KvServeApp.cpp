@@ -101,6 +101,8 @@ public:
   int64_t iterationClass(uint64_t Iter) const override {
     return static_cast<int64_t>(Iter);
   }
+  // Costs, jitter and the operation count depend on the request alone.
+  bool readsLoopIndices() const override { return false; }
 
 private:
   const std::vector<Request> &Requests;

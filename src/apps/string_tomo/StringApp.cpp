@@ -83,6 +83,8 @@ public:
   int64_t iterationClass(uint64_t Iter) const override {
     return static_cast<int64_t>(Iter);
   }
+  // Costs and the segment count depend on the ray alone.
+  bool readsLoopIndices() const override { return false; }
 
 private:
   const std::vector<Ray> &Rays;

@@ -99,6 +99,14 @@ public:
     (void)Iter;
     return -1;
   }
+
+  /// Whether computeNanos and tripCount may read LoopCtx::Loops. A binding
+  /// whose costs and trip counts depend only on LoopCtx::Iter returns false,
+  /// and the emitter then prices a loop that lowers to pure compute in O(1)
+  /// as Trip x (one trip's cost) instead of walking every trip. Builds with
+  /// assertions also price the last trip and abort if it differs from the
+  /// first. elementOf is not covered: it may always read loop indices.
+  virtual bool readsLoopIndices() const { return true; }
 };
 
 } // namespace dynfb::rt

@@ -18,7 +18,8 @@ using namespace dynfb::rt;
 IterationEmitter::IterationEmitter(const Method *Entry,
                                    const DataBinding &Binding,
                                    const CostModel &Costs)
-    : Entry(Entry), Binding(Binding), Costs(Costs) {
+    : Entry(Entry), Binding(Binding), Costs(Costs),
+      FoldLoops(!Binding.readsLoopIndices()) {
   assert(Entry && "emitter needs an entry method");
 }
 
@@ -191,22 +192,42 @@ Nanos IterationEmitter::sumComputeList(const std::vector<Stmt *> &List,
       // no frame is built.
       Sum += sumComputeList(stmtCast<CallStmt>(S).callee()->body(), Ctx);
       break;
-    case StmtKind::Loop: {
-      const auto &L = stmtCast<LoopStmt>(S);
-      const uint64_t Trip = Binding.tripCount(L.LoopId, Ctx);
-      Ctx.Loops.emplace_back(L.LoopId, 0);
-      for (uint64_t I = 0; I < Trip; ++I) {
-        Ctx.Loops.back().second = I;
-        Sum += sumComputeList(L.Body, Ctx);
-      }
-      Ctx.Loops.pop_back();
+    case StmtKind::Loop:
+      Sum += sumComputeLoop(stmtCast<LoopStmt>(S), Ctx);
       break;
-    }
     case StmtKind::Acquire:
     case StmtKind::Release:
       DYNFB_UNREACHABLE("lock operation in a pure-compute list");
     }
   }
+  return Sum;
+}
+
+Nanos IterationEmitter::sumComputeLoop(const LoopStmt &L, LoopCtx &Ctx) const {
+  const uint64_t Trip = Binding.tripCount(L.LoopId, Ctx);
+  Ctx.Loops.emplace_back(L.LoopId, 0);
+  Nanos Sum = 0;
+  if (FoldLoops) {
+    // The binding's costs ignore the loop index, so every trip costs what
+    // the first does (nested loops fold in turn and multiply).
+    if (Trip > 0) {
+      const Nanos Body = sumComputeList(L.Body, Ctx);
+#ifndef NDEBUG
+      if (Trip > 1) {
+        Ctx.Loops.back().second = Trip - 1;
+        assert(sumComputeList(L.Body, Ctx) == Body &&
+               "binding declared loop-index-free reads the loop index");
+      }
+#endif
+      Sum = static_cast<Nanos>(Trip) * Body;
+    }
+  } else {
+    for (uint64_t I = 0; I < Trip; ++I) {
+      Ctx.Loops.back().second = I;
+      Sum += sumComputeList(L.Body, Ctx);
+    }
+  }
+  Ctx.Loops.pop_back();
   return Sum;
 }
 
@@ -259,23 +280,18 @@ void IterationEmitter::runList(const Method *M,
     }
     case StmtKind::Loop: {
       const auto &L = stmtCast<LoopStmt>(S);
+      if (pureComputeList(L.Body)) {
+        // Compute-only body: fold every trip into one duration instead of
+        // building a frame and merging op-by-op per trip. The merged output
+        // is identical because adjacent computes coalesce.
+        pushCompute(Out, sumComputeLoop(L, Ctx));
+        break;
+      }
       const uint64_t Trip = Binding.tripCount(L.LoopId, Ctx);
       Ctx.Loops.emplace_back(L.LoopId, 0);
-      if (pureComputeList(L.Body)) {
-        // Compute-only body: fold every trip into one running duration
-        // instead of building a frame and merging op-by-op per trip. The
-        // merged output is identical because adjacent computes coalesce.
-        Nanos Sum = 0;
-        for (uint64_t I = 0; I < Trip; ++I) {
-          Ctx.Loops.back().second = I;
-          Sum += sumComputeList(L.Body, Ctx);
-        }
-        pushCompute(Out, Sum);
-      } else {
-        for (uint64_t I = 0; I < Trip; ++I) {
-          Ctx.Loops.back().second = I;
-          runList(M, L.Body, F, Ctx, Out);
-        }
+      for (uint64_t I = 0; I < Trip; ++I) {
+        Ctx.Loops.back().second = I;
+        runList(M, L.Body, F, Ctx, Out);
       }
       Ctx.Loops.pop_back();
       break;

@@ -119,6 +119,11 @@ private:
   /// pushCompute would, so the folded result matches op-by-op emission.
   Nanos sumComputeList(const std::vector<ir::Stmt *> &List, LoopCtx &Ctx) const;
 
+  /// The compute time of every trip of a loop whose body lowers to pure
+  /// compute: Trip x one trip's cost when the binding reads no loop index
+  /// (see DataBinding::readsLoopIndices), otherwise trip by trip.
+  Nanos sumComputeLoop(const ir::LoopStmt &L, LoopCtx &Ctx) const;
+
   ObjectId resolveObject(const ir::Receiver &R, const ir::Method *M,
                          const Frame &F, const LoopCtx &Ctx) const;
   ObjRef resolveRef(const ir::Receiver &R, const ir::Method *M,
@@ -133,6 +138,8 @@ private:
   const ir::Method *const Entry;
   const DataBinding &Binding;
   const CostModel Costs;
+  /// !Binding.readsLoopIndices(): pure-compute loops are priced in O(1).
+  const bool FoldLoops;
   EmittedOpsCache *Cache = nullptr;
 };
 

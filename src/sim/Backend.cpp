@@ -58,7 +58,7 @@ std::unique_ptr<SimSectionRunner>
 SimBackend::beginSectionSim(const std::string &Name) {
   std::unique_ptr<SimSectionRunner> Runner = beginSectionOn(Machine, Name);
   if (CollectSectionTraces) {
-    IntervalTrace &Trace = SectionTraces[Name];
+    rt::IntervalTrace &Trace = SectionTraces[Name];
     Trace.Cumulative = true;
     Runner->attachTrace(&Trace);
   }

@@ -17,9 +17,9 @@
 #include "rt/Backend.h"
 #include "rt/Binding.h"
 #include "rt/SectionRegistry.h"
+#include "rt/SectionTrace.h"
 #include "sim/Machine.h"
 #include "sim/SectionSim.h"
-#include "sim/Trace.h"
 
 #include <map>
 #include <string>
@@ -94,7 +94,8 @@ public:
 
   /// The accumulated per-section traces (empty unless collection was
   /// enabled before the run).
-  const std::map<std::string, IntervalTrace> &sectionTraces() const override {
+  const std::map<std::string, rt::IntervalTrace> &
+  sectionTraces() const override {
     return SectionTraces;
   }
 
@@ -125,7 +126,7 @@ private:
   bool CollectSectionTraces = false;
   /// std::map: entry addresses are stable, so live runners can hold a
   /// pointer into it across later insertions.
-  std::map<std::string, IntervalTrace> SectionTraces;
+  std::map<std::string, rt::IntervalTrace> SectionTraces;
 };
 
 } // namespace dynfb::sim

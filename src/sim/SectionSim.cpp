@@ -198,6 +198,12 @@ struct SimSectionRunner::IntervalState {
   std::vector<SimLock> Locks;
   ReadyQueue Ready;
   std::vector<uint64_t> NodeContended;
+  /// Per-lock trace summaries indexed by object id, sized only once a trace
+  /// is attached, and the ids given an entry this interval. The event loop
+  /// updates them in place; interval end merges them into the trace's
+  /// ordered map and zeroes them.
+  std::vector<IntervalTrace::LockSummary> TraceLocks;
+  std::vector<ObjectId> TraceTouched;
 };
 
 SimSectionRunner::SimSectionRunner(SimMachine &Machine,
@@ -350,7 +356,16 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       Trace->clear();
     if (Trace->Procs.size() < P)
       Trace->Procs.resize(P);
+    S.TraceLocks.resize(Binding.objectCount());
   }
+  // Every successful acquire, granted or not, counts in its lock's summary.
+  auto TraceLock = [&](ObjectId Obj) -> IntervalTrace::LockSummary & {
+    IntervalTrace::LockSummary &LS = S.TraceLocks[Obj];
+    if (LS.Acquires == 0)
+      S.TraceTouched.push_back(Obj);
+    ++LS.Acquires;
+    return LS;
+  };
 
   // Interval-local tallies flushed into the metrics registry at the end;
   // plain integers so the event loop stays free of atomics.
@@ -518,7 +533,7 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
         ++Pr.Pc;
         if (Trace) {
           Trace->Procs[Cur].LockOpNanos += Cost;
-          ++Trace->Locks[Op.Obj].Acquires;
+          TraceLock(Op.Obj);
         }
       } else {
         // Block: the processor spins until the holder's release grants it
@@ -569,8 +584,7 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
         if (Trace) {
           IntervalTrace::ProcSummary &WS = Trace->Procs[W];
           WS.WaitNanos += Wait;
-          IntervalTrace::LockSummary &LS = Trace->Locks[Op.Obj];
-          ++LS.Acquires;
+          IntervalTrace::LockSummary &LS = TraceLock(Op.Obj);
           ++LS.Contended;
           LS.WaitNanos += Wait;
         }
@@ -593,6 +607,18 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
     }
     }
     Cur = Ready.next(Pr.Clock, Cur);
+  }
+
+  if (Trace) {
+    for (const ObjectId Obj : S.TraceTouched) {
+      IntervalTrace::LockSummary &From = S.TraceLocks[Obj];
+      IntervalTrace::LockSummary &To = Trace->Locks[Obj];
+      To.Acquires += From.Acquires;
+      To.Contended += From.Contended;
+      To.WaitNanos += From.WaitNanos;
+      From = IntervalTrace::LockSummary{};
+    }
+    S.TraceTouched.clear();
   }
 
   IntervalReport Report;

@@ -24,8 +24,8 @@
 #include "rt/Interp.h"
 #include "rt/IntervalRunner.h"
 #include "rt/Sched.h"
+#include "rt/SectionTrace.h"
 #include "sim/Machine.h"
-#include "sim/Trace.h"
 
 #include <memory>
 #include <string>
@@ -75,7 +75,7 @@ public:
   /// Attaches a trace; each subsequent runInterval fills it (clearing any
   /// previous contents unless the trace is marked Cumulative, in which case
   /// intervals accumulate). Pass nullptr to detach.
-  void attachTrace(IntervalTrace *T) { Trace = T; }
+  void attachTrace(rt::IntervalTrace *T) { Trace = T; }
 
   /// Attaches a perturbation engine and the section name its scope filters
   /// match against (SimBackend wires this from the machine's engine). With
@@ -99,7 +99,7 @@ private:
   template <bool Topo>
   rt::IntervalReport runIntervalImpl(unsigned V, rt::Nanos Target);
 
-  IntervalTrace *Trace = nullptr;
+  rt::IntervalTrace *Trace = nullptr;
   const perturb::PerturbationEngine *Perturb = nullptr;
   std::string SectionName;
   SimMachine &Machine;

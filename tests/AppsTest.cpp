@@ -4,16 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Factory.h"
 #include "apps/barnes_hut/BarnesHutApp.h"
 #include "apps/barnes_hut/Octree.h"
 #include "apps/kvserve/KvServeApp.h"
 #include "apps/string_tomo/StringApp.h"
 #include "apps/water/WaterApp.h"
+#include "rt/Interp.h"
 #include "support/Random.h"
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <gtest/gtest.h>
 
@@ -72,6 +76,20 @@ TEST(OctreeTest, LargerThetaFewerInteractions) {
   // Approximation: far fewer than all pairs.
   EXPECT_LT(Large, static_cast<uint64_t>(Bodies.size()) *
                        (Bodies.size() - 1) / 4);
+}
+
+TEST(OctreeTest, CountInteractionsMatchesComputeForce) {
+  // The count-only walk makes the force walk's opening decisions exactly,
+  // including theta = 0 (every cell opened) and theta = 1.15 (the app's).
+  for (const uint64_t Seed : {42u, 11u}) {
+    auto Bodies = bh::makePlummerBodies(2048, Seed);
+    bh::Octree Tree(Bodies);
+    for (const double Theta : {0.0, 0.5, 1.15, 1.5})
+      for (uint32_t I = 0; I < Bodies.size(); ++I)
+        ASSERT_EQ(Tree.countInteractions(I, Theta),
+                  Tree.computeForce(I, Theta, 0.05).Interactions)
+            << "seed " << Seed << " theta " << Theta << " body " << I;
+  }
 }
 
 TEST(OctreeTest, ApproximationErrorIsSmall) {
@@ -372,6 +390,85 @@ TEST(KvServeAppTest, ScaleShrinksWorkloadWithFloor) {
   EXPECT_EQ(Config.Windows, 8u); // The horizon never shrinks.
   Config.scale(1e-6);
   EXPECT_GE(Config.RequestsPerWindow, 16u); // Floor.
+}
+
+// ------------------------- Emission equivalence ---------------------------
+
+/// Forwards every query to the app's binding but declares that costs read
+/// loop indices, so the emitter walks every trip of every loop.
+class TripByTripBinding final : public rt::DataBinding {
+public:
+  explicit TripByTripBinding(const rt::DataBinding &Inner) : Inner(Inner) {}
+
+  uint64_t iterationCount() const override { return Inner.iterationCount(); }
+  uint32_t objectCount() const override { return Inner.objectCount(); }
+  rt::ObjectId thisObject(uint64_t Iter) const override {
+    return Inner.thisObject(Iter);
+  }
+  std::vector<rt::ObjRef> sectionArgs(uint64_t Iter) const override {
+    return Inner.sectionArgs(Iter);
+  }
+  rt::ObjectId elementOf(rt::ArrayId Arr, uint64_t Index,
+                         const rt::LoopCtx &Ctx) const override {
+    return Inner.elementOf(Arr, Index, Ctx);
+  }
+  uint64_t tripCount(unsigned Loop, const rt::LoopCtx &Ctx) const override {
+    return Inner.tripCount(Loop, Ctx);
+  }
+  rt::Nanos computeNanos(unsigned CC, const rt::LoopCtx &Ctx) const override {
+    return Inner.computeNanos(CC, Ctx);
+  }
+  int64_t iterationClass(uint64_t Iter) const override {
+    return Inner.iterationClass(Iter);
+  }
+  bool readsLoopIndices() const override { return true; }
+
+private:
+  const rt::DataBinding &Inner;
+};
+
+/// Every app x version (default and sync,sched spaces, serial clone
+/// included) x iteration emits the same micro-ops through the app's binding
+/// as through the trip-by-trip one.
+TEST(EmissionEquivalenceTest, FoldedEmissionMatchesTripByTrip) {
+  std::string Error;
+  const std::optional<xform::VersionSpace> SyncSched =
+      xform::VersionSpace::parse("sync,sched", "8,fac,wfac,afac", Error);
+  ASSERT_TRUE(SyncSched) << Error;
+  const rt::CostModel CM = rt::CostModel::dashLike();
+  const std::map<std::string, bool> ReadsIndices = {
+      {"barnes_hut", false}, {"string", false}, {"kvserve", false},
+      {"water", true}};
+  for (const auto &[Name, Reads] : ReadsIndices) {
+    for (const xform::VersionSpace &Space : {xform::VersionSpace{}, *SyncSched}) {
+      const std::unique_ptr<App> A = createApp(Name, 0.125, Space);
+      ASSERT_TRUE(A) << Name;
+      for (const xform::VersionedSection &VS : A->program().Sections) {
+        const rt::DataBinding &B = A->binding(VS.Name);
+        EXPECT_EQ(B.readsLoopIndices(), Reads) << Name << " " << VS.Name;
+        const TripByTripBinding Walk(B);
+        std::vector<const ir::Method *> Entries = {VS.SerialEntry};
+        for (const xform::SectionVersion &V : VS.Versions)
+          Entries.push_back(V.Entry);
+        for (const ir::Method *Entry : Entries) {
+          const rt::IterationEmitter Folded(Entry, B, CM);
+          const rt::IterationEmitter Walked(Entry, Walk, CM);
+          std::vector<rt::MicroOp> F, W;
+          for (uint64_t I = 0; I < B.iterationCount(); ++I) {
+            Folded.emit(I, F);
+            Walked.emit(I, W);
+            ASSERT_EQ(F.size(), W.size())
+                << Name << " " << Entry->name() << " iteration " << I;
+            for (size_t K = 0; K < F.size(); ++K)
+              ASSERT_TRUE(F[K].K == W[K].K && F[K].Obj == W[K].Obj &&
+                          F[K].Dur == W[K].Dur)
+                  << Name << " " << Entry->name() << " iteration " << I
+                  << " op " << K;
+          }
+        }
+      }
+    }
+  }
 }
 
 } // namespace

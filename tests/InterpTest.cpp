@@ -21,8 +21,12 @@ public:
   uint64_t Iterations = 4;
   uint32_t Objects = 8;
   uint64_t Trip = 3;
+  /// Per-loop trip counts by loop id; loops past its end use Trip.
+  std::vector<uint64_t> TripByLoop;
   Nanos ComputeCost = 1000;
   bool Cacheable = false; ///< Advertise stable per-iteration sequences.
+  bool IndexFree = false; ///< Declare that no cost reads a loop index.
+  bool CostReadsIndex = false; ///< Add the innermost loop index to costs.
 
   uint64_t iterationCount() const override { return Iterations; }
   uint32_t objectCount() const override { return Objects; }
@@ -35,18 +39,23 @@ public:
     ++ElementOfCalls;
     return static_cast<ObjectId>((Ctx.Iter + 1 + Index) % Objects);
   }
-  uint64_t tripCount(unsigned, const LoopCtx &) const override {
-    return Trip;
+  uint64_t tripCount(unsigned LoopId, const LoopCtx &) const override {
+    return LoopId < TripByLoop.size() ? TripByLoop[LoopId] : Trip;
   }
-  Nanos computeNanos(unsigned, const LoopCtx &) const override {
+  Nanos computeNanos(unsigned, const LoopCtx &Ctx) const override {
+    ++ComputeCalls;
+    if (CostReadsIndex && !Ctx.Loops.empty())
+      return ComputeCost + static_cast<Nanos>(Ctx.Loops.back().second);
     return ComputeCost;
   }
   int64_t iterationClass(uint64_t Iter) const override {
     return Cacheable ? static_cast<int64_t>(Iter) : -1;
   }
+  bool readsLoopIndices() const override { return !IndexFree; }
 
   std::vector<ObjRef> Args;
   mutable uint64_t ElementOfCalls = 0;
+  mutable uint64_t ComputeCalls = 0;
 };
 
 bool sameOps(const std::vector<MicroOp> &A, const std::vector<MicroOp> &B) {
@@ -317,6 +326,84 @@ TEST(InterpTest, UncacheableIterationsBypassTheCache) {
   EXPECT_EQ(&R1, &Scratch);
   const std::vector<MicroOp> &R2 = E.ops(0, Scratch);
   EXPECT_EQ(&R2, &Scratch);
+}
+
+/// acquire(this); loop { loop { compute } }; release(this): two nested
+/// pure-compute loops inside a locked region.
+struct NestedLoopWorkload {
+  Module M{"m"};
+  Method *Entry = nullptr;
+  unsigned Outer = 0, Inner = 0;
+
+  NestedLoopWorkload() {
+    ClassDecl *C = M.createClass("c");
+    Entry = M.createMethod("e", C);
+    MethodBuilder B(M, Entry);
+    B.acquire(Receiver::thisObj());
+    Outer = B.beginLoop();
+    Inner = B.beginLoop();
+    B.compute();
+    B.endLoop();
+    B.endLoop();
+    B.release(Receiver::thisObj());
+  }
+};
+
+TEST(InterpTest, NestedIndexFreeLoopsFoldInConstantTime) {
+  NestedLoopWorkload W;
+  TestBinding Binding;
+  Binding.IndexFree = true;
+  Binding.TripByLoop.assign(std::max(W.Outer, W.Inner) + 1, 0);
+  Binding.TripByLoop[W.Outer] = 50;
+  Binding.TripByLoop[W.Inner] = 40;
+  IterationEmitter E(W.Entry, Binding, CostModel{});
+  std::vector<MicroOp> Ops;
+  E.emit(0, Ops);
+  ASSERT_EQ(Ops.size(), 3u);
+  EXPECT_EQ(Ops[0].K, MicroOp::Kind::Acquire);
+  EXPECT_EQ(Ops[1].K, MicroOp::Kind::Compute);
+  EXPECT_EQ(Ops[1].Dur, 50 * 40 * Binding.ComputeCost);
+  EXPECT_EQ(Ops[2].K, MicroOp::Kind::Release);
+  // One trip per loop level, plus the last-trip check in builds with
+  // assertions: at most 2 x 2 cost queries, not 50 x 40.
+  EXPECT_LE(Binding.ComputeCalls, 4u);
+
+  // The same program walked trip by trip gives the same ops.
+  TestBinding Walked = Binding;
+  Walked.IndexFree = false;
+  Walked.ComputeCalls = 0;
+  IterationEmitter WE(W.Entry, Walked, CostModel{});
+  std::vector<MicroOp> WalkedOps;
+  WE.emit(0, WalkedOps);
+  EXPECT_TRUE(sameOps(Ops, WalkedOps));
+  EXPECT_EQ(Walked.ComputeCalls, 50u * 40u);
+}
+
+TEST(InterpDeathTest, IndexFreeBindingThatReadsTheIndexAborts) {
+  NestedLoopWorkload W;
+  TestBinding Binding;
+  Binding.IndexFree = true;
+  Binding.CostReadsIndex = true;
+  IterationEmitter E(W.Entry, Binding, CostModel{});
+  std::vector<MicroOp> Ops;
+  EXPECT_DEBUG_DEATH(E.emit(0, Ops), "reads the loop index");
+}
+
+TEST(InterpDeathTest, StaleOpsCacheAbortsOnTheNextHit) {
+  // A binding keeps a stable iterationClass while its cost changes: the
+  // cache hit no longer matches a live emit, and every hit is checked.
+  CoarseLoopWorkload W;
+  TestBinding Binding;
+  Binding.Cacheable = true;
+  Binding.IndexFree = true;
+  Binding.Args = {ObjRef::array(0)};
+  IterationEmitter E(W.Entry, Binding, CostModel{});
+  EmittedOpsCache Cache;
+  E.attachCache(&Cache);
+  std::vector<MicroOp> Scratch;
+  E.ops(1, Scratch);
+  Binding.ComputeCost += 1;
+  EXPECT_DEBUG_DEATH(E.ops(1, Scratch), "stale ops cache");
 }
 
 } // namespace

@@ -8,8 +8,8 @@
 #include "apps/barnes_hut/BarnesHutApp.h"
 #include "apps/water/WaterApp.h"
 #include "ir/Builder.h"
+#include "rt/SectionTrace.h"
 #include "sim/SectionSim.h"
-#include "sim/Trace.h"
 
 #include <gtest/gtest.h>
 #include <limits>
@@ -162,7 +162,7 @@ TEST(FifoFairnessTest, BlockedProcessorsAreGrantedInArrivalOrder) {
   sim::SimMachine Machine(4, CostModel::dashLike());
   sim::SimSectionRunner Runner(Machine, B,
                                {sim::SimVersion{"v", Entry}}, false);
-  sim::IntervalTrace Trace;
+  rt::IntervalTrace Trace;
   Runner.attachTrace(&Trace);
   Runner.runInterval(0, std::numeric_limits<Nanos>::max() / 4);
 

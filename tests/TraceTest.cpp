@@ -6,8 +6,8 @@
 
 #include "apps/water/WaterApp.h"
 #include "ir/Builder.h"
+#include "rt/SectionTrace.h"
 #include "sim/SectionSim.h"
-#include "sim/Trace.h"
 
 #include <gtest/gtest.h>
 #include <limits>

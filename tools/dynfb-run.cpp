@@ -677,7 +677,7 @@ int main(int Argc, char **Argv) {
     auto Backend = TheApp->makeSimBackend(Procs, *Machine, Spec);
     for (const xform::VersionedSection &VS : TheApp->program().Sections) {
       auto Runner = Backend->beginSectionSim(VS.Name);
-      sim::IntervalTrace Trace;
+      rt::IntervalTrace Trace;
       Runner->attachTrace(&Trace);
       while (!Runner->done())
         Runner->runInterval(0, std::numeric_limits<rt::Nanos>::max() / 4);
