@@ -60,16 +60,10 @@ int exp::runBenchMain(const std::string &ExperimentName, int Argc,
                  "on native jobs\n",
                  ExperimentName.c_str(), Opts.Machine.c_str());
   if (!Opts.Machine.empty() && !rt::createMachineModel(Opts.Machine)) {
-    const std::string Near =
-        closestMatch(Opts.Machine, rt::machineModelNames());
-    const std::string Hint =
-        Near.empty() ? "" : " (did you mean '" + Near + "'?)";
-    std::string Known;
-    for (const std::string &Name : rt::machineModelNames())
-      Known += (Known.empty() ? "" : ", ") + Name;
-    std::fprintf(stderr, "%s: unknown machine model '%s'%s; known: %s\n",
-                 ExperimentName.c_str(), Opts.Machine.c_str(), Hint.c_str(),
-                 Known.c_str());
+    std::fprintf(stderr, "%s: %s\n", ExperimentName.c_str(),
+                 unknownName("machine model", Opts.Machine,
+                             rt::machineModelNames(), "known")
+                     .c_str());
     return 2;
   }
 

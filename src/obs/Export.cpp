@@ -8,16 +8,124 @@
 
 #include "obs/Json.h"
 #include "support/BuildInfo.h"
+#include "support/CommandLine.h"
+#include "support/Compiler.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <map>
+#include <type_traits>
+#include <variant>
 
 using namespace dynfb;
 using namespace dynfb::obs;
 
 namespace {
+
+constexpr double Unbounded = std::numeric_limits<double>::infinity();
+/// Counts map to unsigned fb::FeedbackConfig fields.
+constexpr double MaxCount = std::numeric_limits<unsigned>::max();
+/// 1e9 seconds: adding it to a run's clock is still far from int64 overflow.
+constexpr double MaxNanos = 1e18;
+constexpr double MaxScale = 16; // Every app allocates 16x in under 100 MB.
+
+// Rows in run_spec key order: the writer emits this order, so reordering
+// rows changes every trace.
+constexpr Knob Knobs[] = {
+    {"scale", "scale", KnobKind::Real, &RunSpec::Scale, "F",
+     "a workload scale in [0, 16]", 0, MaxScale},
+    {"dimensions", "dimensions", KnobKind::Text, &RunSpec::Dimensions,
+     "sync[,sched]"},
+    {"chunks", "chunks", KnobKind::Text, &RunSpec::Chunks, "K1,K2,..."},
+    {"sampling_ns", "sampling", KnobKind::Seconds, &RunSpec::SamplingNanos,
+     "S", "a positive number of seconds", 0, MaxNanos, true},
+    {"production_ns", "production", KnobKind::Seconds,
+     &RunSpec::ProductionNanos, "S", "a positive number of seconds", 0,
+     MaxNanos, true},
+    {"cutoff", "cutoff", KnobKind::Bool, &RunSpec::Cutoff},
+    {"ordering", "ordering", KnobKind::Bool, &RunSpec::Ordering},
+    {"spanning", "spanning", KnobKind::Bool, &RunSpec::Spanning},
+    {"repeats", "repeats", KnobKind::Count, &RunSpec::Repeats, "N",
+     "at least 1", 1, MaxCount},
+    {"aggregate", "aggregate", KnobKind::Text, &RunSpec::Aggregate,
+     "mean|median|trimmed"},
+    {"hysteresis", "hysteresis", KnobKind::Real, &RunSpec::Hysteresis, "X",
+     "an overhead margin in [0, 1)", 0, 1, false, true},
+    {"drift", "drift", KnobKind::Real, &RunSpec::Drift, "X",
+     "an overhead margin in [0, 1)", 0, 1, false, true},
+    {"slice_ns", "slice", KnobKind::Seconds, &RunSpec::SliceNanos, "S",
+     "a non-negative number of seconds", 0, MaxNanos},
+    {"quarantine", "quarantine", KnobKind::Count, &RunSpec::QuarantineStrikes,
+     "N", "a non-negative strike count (0 disables)", 0, MaxCount},
+    {"quarantine_window", "quarantine-window", KnobKind::Count,
+     &RunSpec::QuarantineWindow, "N", "at least 1 sampling phase", 1,
+     MaxCount},
+    {"quarantine_limit", "quarantine-limit", KnobKind::Real,
+     &RunSpec::QuarantineLimit, "X", "an overhead in (0, 1]", 0, 1, true},
+    {"quarantine_backoff", "quarantine-backoff", KnobKind::Count,
+     &RunSpec::QuarantineBackoff, "N", "at least 1 sampling phase", 1,
+     MaxCount},
+    {"watchdog", "watchdog", KnobKind::Count, &RunSpec::Watchdog, "N",
+     "a non-negative production-interval count (0 disables)", 0, MaxCount},
+    {"watchdog_limit", "watchdog-limit", KnobKind::Real,
+     &RunSpec::WatchdogLimit, "X", "an overhead in (0, 1]", 0, 1, true},
+    {"sampler", "sampler", KnobKind::Text, &RunSpec::Sampler,
+     "exhaustive|halving|ucb"},
+    {"search_budget", "search-budget", KnobKind::Real, &RunSpec::SearchBudget,
+     "F", "a fraction of the exhaustive sampling cost in (0, 1]", 0, 1, true},
+    {"ucb_explore", "ucb-explore", KnobKind::Real, &RunSpec::UcbExplore, "C",
+     "a non-negative exploration constant", 0, Unbounded},
+    {"perturb", "perturb", KnobKind::Text, &RunSpec::PerturbSpec, "SCHEDULE"},
+    {"traffic", "traffic", KnobKind::Text, &RunSpec::TrafficSpec, "SPEC"},
+    {"cost", "cost", KnobKind::Text, &RunSpec::CostOverrides,
+     "Field=nanos[,Field=nanos]"},
+    {"timescale", "timescale", KnobKind::Real, &RunSpec::TimeScale, "F",
+     "a non-negative virtual-to-real factor", 0, Unbounded},
+};
+
+/// Range check of one numeric value, in \p K's stored unit.
+bool checkValue(const Knob &K, double V, KnobSource Source,
+                std::string &Error) {
+  const bool AboveMin = K.MinOpen ? V > K.Min : V >= K.Min;
+  const bool BelowMax = K.MaxOpen ? V < K.Max : V <= K.Max;
+  if (std::isfinite(V) && AboveMin && BelowMax)
+    return true;
+  const std::string Name = knobName(K, Source);
+  // Count and seconds requirements state only their lower bound.
+  if (std::isfinite(V) && AboveMin && K.Kind == KnobKind::Count)
+    Error = format("%s must be at most %.0f", Name.c_str(), K.Max);
+  else if (std::isfinite(V) && AboveMin && K.Kind == KnobKind::Seconds)
+    Error = format("%s must be at most %g seconds", Name.c_str(), K.Max / 1e9);
+  else
+    Error = Name + " must be " + K.Requirement;
+  return false;
+}
+
+/// Strict value of flag --\p Flag: the whole text must parse as a T.
+template <typename T>
+bool parseNumberFlag(const CommandLine &CL, const std::string &Flag, T &Value,
+                     std::string &Error) {
+  if (!CL.has(Flag))
+    return true;
+  const std::string Text = CL.getString(Flag, "");
+  char *End = nullptr;
+  T V;
+  if constexpr (std::is_integral_v<T>)
+    V = std::strtoll(Text.c_str(), &End, 10); // Saturates out of range.
+  else
+    V = std::strtod(Text.c_str(), &End);
+  if (Text.empty() || *End != '\0') {
+    Error = format("--%s expects %s (got '%s')", Flag.c_str(),
+                   std::is_integral_v<T> ? "an integer" : "a number",
+                   Text.c_str());
+    return false;
+  }
+  Value = V;
+  return true;
+}
 
 std::string quoted(const std::string &S) {
   std::string Out = "\"";
@@ -41,16 +149,6 @@ std::string overheadField(double V) {
                           : std::string("\"overhead\":null");
 }
 
-/// %.17g round-trips every finite double exactly through strtod, the
-/// property record -> replay -> record byte-identity relies on.
-std::string doubleField(const char *Key, double V) {
-  return format("\"%s\":%.17g", Key, V);
-}
-
-std::string boolField(const char *Key, bool V) {
-  return format("\"%s\":%s", Key, V ? "true" : "false");
-}
-
 /// Appends "," followed by \p Field. Separate statements, not operator+ on
 /// a string literal: GCC's -Wrestrict mis-fires on that pattern.
 void addField(std::string &Out, const std::string &Field) {
@@ -58,84 +156,78 @@ void addField(std::string &Out, const std::string &Field) {
   Out += Field;
 }
 
-/// The "run_spec" meta object: fixed key order, every field always present,
-/// so a spec round-trips byte for byte.
+/// The "run_spec" meta object: one key per knob-table row, in table order
+/// and always present, so a spec round-trips byte for byte.
 std::string runSpecObject(const RunSpec &Spec) {
   std::string Out = "{";
-  Out += doubleField("scale", Spec.Scale);
-  Out += ",\"dimensions\":";
-  Out += quoted(Spec.Dimensions);
-  Out += ",\"chunks\":";
-  Out += quoted(Spec.Chunks);
-  addField(Out, intField("sampling_ns", Spec.SamplingNanos));
-  addField(Out, intField("production_ns", Spec.ProductionNanos));
-  addField(Out, boolField("cutoff", Spec.Cutoff));
-  addField(Out, boolField("ordering", Spec.Ordering));
-  addField(Out, boolField("spanning", Spec.Spanning));
-  addField(Out, uintField("repeats", Spec.Repeats));
-  Out += ",\"aggregate\":";
-  Out += quoted(Spec.Aggregate);
-  addField(Out, doubleField("hysteresis", Spec.Hysteresis));
-  addField(Out, doubleField("drift", Spec.Drift));
-  addField(Out, intField("slice_ns", Spec.SliceNanos));
-  addField(Out, uintField("quarantine", Spec.QuarantineStrikes));
-  addField(Out, uintField("quarantine_window", Spec.QuarantineWindow));
-  addField(Out, doubleField("quarantine_limit", Spec.QuarantineLimit));
-  addField(Out, uintField("quarantine_backoff", Spec.QuarantineBackoff));
-  addField(Out, uintField("watchdog", Spec.Watchdog));
-  addField(Out, doubleField("watchdog_limit", Spec.WatchdogLimit));
-  Out += ",\"sampler\":";
-  Out += quoted(Spec.Sampler);
-  addField(Out, doubleField("search_budget", Spec.SearchBudget));
-  addField(Out, doubleField("ucb_explore", Spec.UcbExplore));
-  Out += ",\"perturb\":";
-  Out += quoted(Spec.PerturbSpec);
-  Out += ",\"traffic\":";
-  Out += quoted(Spec.TrafficSpec);
-  Out += ",\"cost\":";
-  Out += quoted(Spec.CostOverrides);
-  addField(Out, doubleField("timescale", Spec.TimeScale));
+  for (const Knob &K : runSpecKnobs()) {
+    if (Out.size() > 1)
+      Out += ',';
+    Out += quoted(K.Key);
+    Out += ':';
+    Out += std::visit(
+        [&](auto Member) -> std::string {
+          const auto &V = Spec.*Member;
+          using T = std::decay_t<decltype(V)>;
+          if constexpr (std::is_same_v<T, bool>)
+            return V ? "true" : "false";
+          else if constexpr (std::is_same_v<T, int64_t>)
+            return format("%lld", static_cast<long long>(V));
+          else if constexpr (std::is_same_v<T, double>)
+            // %.17g round-trips every finite double exactly through
+            // strtod, the property record -> replay -> record byte-identity
+            // relies on.
+            return format("%.17g", V);
+          else
+            return quoted(V);
+        },
+        K.Field);
+  }
   Out += "}";
   return Out;
 }
 
-bool jsonBool(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.find(Key);
-  return V && V->asBool();
-}
-
-RunSpec parseRunSpec(const JsonValue &Obj) {
-  RunSpec Spec;
+/// Reads the run_spec object into \p Spec. A missing key keeps its default;
+/// a value of the wrong JSON type, or a count that is not a 64-bit integer,
+/// fails with a diagnostic naming the key. Ranges are replay's to check.
+bool parseRunSpec(const JsonValue &Obj, RunSpec &Spec, std::string &Error) {
   Spec.Present = true;
-  Spec.Scale = Obj.getNumber("scale", 1.0);
-  Spec.Dimensions = Obj.getString("dimensions");
-  Spec.Chunks = Obj.getString("chunks");
-  Spec.SamplingNanos = Obj.getInt("sampling_ns");
-  Spec.ProductionNanos = Obj.getInt("production_ns");
-  Spec.Cutoff = jsonBool(Obj, "cutoff");
-  Spec.Ordering = jsonBool(Obj, "ordering");
-  Spec.Spanning = jsonBool(Obj, "spanning");
-  Spec.Repeats = static_cast<unsigned>(Obj.getInt("repeats", 1));
-  Spec.Aggregate = Obj.getString("aggregate", "mean");
-  Spec.Hysteresis = Obj.getNumber("hysteresis");
-  Spec.Drift = Obj.getNumber("drift");
-  Spec.SliceNanos = Obj.getInt("slice_ns");
-  Spec.QuarantineStrikes = static_cast<unsigned>(Obj.getInt("quarantine"));
-  Spec.QuarantineWindow =
-      static_cast<unsigned>(Obj.getInt("quarantine_window", 8));
-  Spec.QuarantineLimit = Obj.getNumber("quarantine_limit", 1.0);
-  Spec.QuarantineBackoff =
-      static_cast<unsigned>(Obj.getInt("quarantine_backoff", 4));
-  Spec.Watchdog = static_cast<unsigned>(Obj.getInt("watchdog"));
-  Spec.WatchdogLimit = Obj.getNumber("watchdog_limit", 0.9);
-  Spec.Sampler = Obj.getString("sampler", "exhaustive");
-  Spec.SearchBudget = Obj.getNumber("search_budget", 0.5);
-  Spec.UcbExplore = Obj.getNumber("ucb_explore", 2.0);
-  Spec.PerturbSpec = Obj.getString("perturb");
-  Spec.TrafficSpec = Obj.getString("traffic");
-  Spec.CostOverrides = Obj.getString("cost");
-  Spec.TimeScale = Obj.getNumber("timescale");
-  return Spec;
+  for (const Knob &K : runSpecKnobs()) {
+    const JsonValue *V = Obj.find(K.Key);
+    if (!V)
+      continue;
+    const char *Expected = std::visit(
+        [&](auto Member) -> const char * {
+          auto &Field = Spec.*Member;
+          using T = std::decay_t<decltype(Field)>;
+          const bool IsNumber = V->kind() == JsonValue::Kind::Number;
+          if constexpr (std::is_same_v<T, bool>) {
+            if (V->kind() != JsonValue::Kind::Bool)
+              return "true or false";
+            Field = V->asBool();
+          } else if constexpr (std::is_same_v<T, int64_t>) {
+            const double D = V->asNumber();
+            if (!IsNumber || D != std::trunc(D) || std::fabs(D) >= 0x1p63)
+              return "a 64-bit integer";
+            Field = static_cast<int64_t>(D);
+          } else if constexpr (std::is_same_v<T, double>) {
+            if (!IsNumber)
+              return "a number";
+            Field = V->asNumber();
+          } else {
+            if (V->kind() != JsonValue::Kind::String)
+              return "a string";
+            Field = V->asString();
+          }
+          return nullptr;
+        },
+        K.Field);
+    if (Expected) {
+      Error = knobName(K, KnobSource::Trace) + " must be " + Expected;
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string decisionLine(const DecisionEvent &E) {
@@ -189,6 +281,84 @@ std::string lockLine(const LockRecord &L) {
 }
 
 } // namespace
+
+std::span<const Knob> obs::runSpecKnobs() { return Knobs; }
+
+const Knob &obs::knobByKey(const std::string &Key) {
+  for (const Knob &K : Knobs)
+    if (Key == K.Key)
+      return K;
+  DYNFB_UNREACHABLE("no run_spec knob with this key");
+}
+
+std::string obs::knobName(const Knob &K, KnobSource Source) {
+  return Source == KnobSource::CommandLine ? std::string("--") + K.Flag
+                                           : format("run_spec '%s'", K.Key);
+}
+
+bool obs::checkRunSpec(const RunSpec &Spec, KnobSource Source,
+                       std::string &Error) {
+  for (const Knob &K : Knobs) {
+    double V;
+    if (const auto *I = std::get_if<int64_t RunSpec::*>(&K.Field))
+      V = static_cast<double>(Spec.**I);
+    else if (const auto *D = std::get_if<double RunSpec::*>(&K.Field))
+      V = Spec.**D;
+    else
+      continue; // Bool and Text knobs have no range.
+    if (!checkValue(K, V, Source, Error))
+      return false;
+  }
+  return true;
+}
+
+bool obs::parseIntegerFlag(const CommandLine &CL, const std::string &Flag,
+                           int64_t &Value, std::string &Error) {
+  return parseNumberFlag(CL, Flag, Value, Error);
+}
+
+bool obs::parseKnobFlags(const CommandLine &CL, RunSpec &Spec,
+                         std::string &Error) {
+  for (const Knob &K : Knobs) {
+    if (!CL.has(K.Flag))
+      continue;
+    if (K.Kind == KnobKind::Seconds) {
+      // Range-checked before narrowing: NaN or 1e30 s has no Nanos value.
+      double Seconds = 0;
+      if (!parseNumberFlag(CL, K.Flag, Seconds, Error) ||
+          !checkValue(K, Seconds * 1e9, KnobSource::CommandLine, Error))
+        return false;
+      Spec.*std::get<int64_t RunSpec::*>(K.Field) =
+          rt::secondsToNanos(Seconds);
+      continue;
+    }
+    const bool Parsed = std::visit(
+        [&](auto Member) {
+          auto &Field = Spec.*Member;
+          using T = std::decay_t<decltype(Field)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            // A bare flag is true; a value must spell true or false.
+            const std::string Text = CL.getString(K.Flag, "true");
+            Field = Text == "true" || Text == "1" || Text == "yes" ||
+                    Text == "on";
+            if (!Field && Text != "false" && Text != "0" && Text != "no" &&
+                Text != "off") {
+              Error = format("--%s expects true or false (got '%s')", K.Flag,
+                             Text.c_str());
+              return false;
+            }
+          } else if constexpr (std::is_same_v<T, std::string>)
+            Field = CL.getString(K.Flag, Field);
+          else
+            return parseNumberFlag(CL, K.Flag, Field, Error);
+          return true;
+        },
+        K.Field);
+    if (!Parsed)
+      return false;
+  }
+  return true;
+}
 
 std::string obs::toJsonl(const RunTrace &Trace) {
   std::string Out = "{\"type\":\"meta\"";
@@ -293,9 +463,12 @@ std::optional<RunTrace> obs::parseJsonl(const std::string &Text,
       Trace.Meta.Backend = V->getString("backend");
       if (Trace.Meta.Backend.empty())
         Trace.Meta.Backend = "sim";
-      if (const JsonValue *RS = V->find("run_spec"))
-        if (RS->kind() == JsonValue::Kind::Object)
-          Trace.Meta.Spec = parseRunSpec(*RS);
+      const JsonValue *RS = V->find("run_spec");
+      if (RS && RS->kind() == JsonValue::Kind::Object &&
+          !parseRunSpec(*RS, Trace.Meta.Spec, Error)) {
+        Error = format("line %zu: %s", LineNo, Error.c_str());
+        return std::nullopt;
+      }
       SawMeta = true;
     } else if (Type == "decision") {
       DecisionEvent E;

@@ -28,8 +28,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
+
+namespace dynfb {
+class CommandLine;
+} // namespace dynfb
 
 namespace dynfb::obs {
 
@@ -39,33 +45,31 @@ inline constexpr int64_t TraceSchemaVersion = 1;
 
 /// The full run configuration stamped into trace meta at record time (the
 /// "run_spec" object of the meta line; additive within schema 1, so PR-3-era
-/// traces without one still parse -- Present is false there). Everything a
-/// replay needs to reconstruct and re-drive the recorded run: workload
-/// scale, version-space dimensions, feedback / robustness / resilience
-/// knobs, the perturbation or traffic spec (whose text carries its own
-/// seed), machine cost overrides and the native timescale. Plain value
-/// types only: obs sits below fb in the library layering, so the fb
-/// configuration is re-derived from these fields by src/replay.
+/// traces without one still parse -- Present is false there): everything a
+/// replay needs to reconstruct and re-drive the recorded run. Plain value
+/// types only, as obs sits below fb; src/replay maps them to the fb
+/// configuration. Member initializers are the knob defaults. Counts are held
+/// wide so an out-of-range recorded value reaches the range check unwrapped.
 struct RunSpec {
   bool Present = false; ///< False for traces recorded before replay support.
   double Scale = 1.0;
   std::string Dimensions; ///< --dimensions ("" = the default sync space).
   std::string Chunks;     ///< --chunks ("" = none).
-  rt::Nanos SamplingNanos = 0;
-  rt::Nanos ProductionNanos = 0;
+  rt::Nanos SamplingNanos = rt::millisToNanos(10.0);
+  rt::Nanos ProductionNanos = rt::secondsToNanos(100.0);
   bool Cutoff = false;
   bool Ordering = false;
   bool Spanning = false;
-  unsigned Repeats = 1;
+  int64_t Repeats = 1;
   std::string Aggregate = "mean"; ///< mean | median | trimmed.
   double Hysteresis = 0.0;
   double Drift = 0.0;
   rt::Nanos SliceNanos = 0;
-  unsigned QuarantineStrikes = 0;
-  unsigned QuarantineWindow = 8;
+  int64_t QuarantineStrikes = 0;
+  int64_t QuarantineWindow = 8;
   double QuarantineLimit = 1.0;
-  unsigned QuarantineBackoff = 4;
-  unsigned Watchdog = 0;
+  int64_t QuarantineBackoff = 4;
+  int64_t Watchdog = 0;
   double WatchdogLimit = 0.9;
   std::string Sampler = "exhaustive"; ///< Sampling strategy name.
   double SearchBudget = 0.5;          ///< --search-budget fraction.
@@ -75,6 +79,68 @@ struct RunSpec {
   std::string CostOverrides; ///< --cost Field=nanos list ("" = none).
   double TimeScale = 0.0;    ///< Native backend only; 0 on the simulator.
 };
+
+/// What a knob's value is, and so how it is parsed, checked and written.
+enum class KnobKind {
+  Bool,    ///< A bare flag; true/false in run_spec.
+  Count,   ///< A whole number in [Min, Max].
+  Real,    ///< A finite number between Min and Max.
+  Seconds, ///< Seconds on the command line, whole nanoseconds in run_spec.
+  Text,    ///< Free text, checked by the code that consumes it.
+};
+
+/// One row of the knob table (runSpecKnobs()), the single declaration of a
+/// run knob: the run_spec writer and reader, dynfb-run's flags, usage line
+/// and --replay conflict check, and the range check all iterate the table.
+/// Adding a knob takes a RunSpec field, a row in Export.cpp and a mapping
+/// line in replay's configFromSpec.
+struct Knob {
+  const char *Key;  ///< run_spec key.
+  const char *Flag; ///< dynfb-run flag, without the leading "--".
+  KnobKind Kind;
+  std::variant<bool RunSpec::*, int64_t RunSpec::*, double RunSpec::*,
+               std::string RunSpec::*>
+      Field;
+  const char *Usage = "";       ///< Value placeholder in the usage line.
+  const char *Requirement = ""; ///< Completes "<knob> must be ...".
+  /// Numeric range in the stored unit (nanoseconds for Seconds); an open end
+  /// excludes the bound.
+  double Min = 0;
+  double Max = 0;
+  bool MinOpen = false;
+  bool MaxOpen = false;
+};
+
+/// The knob table: one row per RunSpec field, in run_spec key order.
+std::span<const Knob> runSpecKnobs();
+
+/// The row with run_spec key \p Key (which must exist).
+const Knob &knobByKey(const std::string &Key);
+
+/// Where a knob value came from, which decides how diagnostics name it.
+enum class KnobSource {
+  CommandLine, ///< "--hysteresis"
+  Trace,       ///< "run_spec 'hysteresis'"
+};
+
+/// \p K's name in a diagnostic about a value from \p Source.
+std::string knobName(const Knob &K, KnobSource Source);
+
+/// Checks every numeric knob of \p Spec against its range (non-finite values
+/// never pass); on the first violation returns false with \p Error set to a
+/// one-line diagnostic naming the knob.
+bool checkRunSpec(const RunSpec &Spec, KnobSource Source, std::string &Error);
+
+/// Sets each knob of \p Spec whose flag \p CL carries. Numbers must parse
+/// completely ("2x" is not an integer); ranges are checkRunSpec's, except
+/// that seconds are checked before they are narrowed to nanoseconds.
+/// Returns false with \p Error set on malformed input.
+bool parseKnobFlags(const CommandLine &CL, RunSpec &Spec, std::string &Error);
+
+/// Strict integer value of flag --\p Flag; \p Value is left as is when the
+/// flag is absent.
+bool parseIntegerFlag(const CommandLine &CL, const std::string &Flag,
+                      int64_t &Value, std::string &Error);
 
 /// Identity of the traced run.
 struct TraceMeta {

@@ -120,12 +120,12 @@ std::string obs::renderReport(const RunTrace &Trace,
                   "dimensions %s\n",
                   Trace.Meta.Backend.c_str(), Machine.c_str(), S.Scale,
                   Dims.c_str());
-    Out += format("provenance: sampling %s, production %s, repeats %u "
+    Out += format("provenance: sampling %s, production %s, repeats %lld "
                   "(%s)%s%s%s\n",
                   formatSeconds(rt::nanosToSeconds(S.SamplingNanos)).c_str(),
                   formatSeconds(rt::nanosToSeconds(S.ProductionNanos))
                       .c_str(),
-                  S.Repeats, S.Aggregate.c_str(),
+                  static_cast<long long>(S.Repeats), S.Aggregate.c_str(),
                   S.Cutoff ? ", cutoff" : "", S.Ordering ? ", ordering" : "",
                   S.Spanning ? ", spanning" : "");
     std::string Rob;
@@ -136,11 +136,14 @@ std::string obs::renderReport(const RunTrace &Trace,
     if (S.SliceNanos > 0)
       Rob += ", slice " + formatSeconds(rt::nanosToSeconds(S.SliceNanos));
     if (S.QuarantineStrikes > 0)
-      Rob += format(", quarantine %u/%u limit %g backoff %u",
-                    S.QuarantineStrikes, S.QuarantineWindow,
-                    S.QuarantineLimit, S.QuarantineBackoff);
+      Rob += format(", quarantine %lld/%lld limit %g backoff %lld",
+                    static_cast<long long>(S.QuarantineStrikes),
+                    static_cast<long long>(S.QuarantineWindow),
+                    S.QuarantineLimit,
+                    static_cast<long long>(S.QuarantineBackoff));
     if (S.Watchdog > 0)
-      Rob += format(", watchdog %u limit %g", S.Watchdog, S.WatchdogLimit);
+      Rob += format(", watchdog %lld limit %g",
+                    static_cast<long long>(S.Watchdog), S.WatchdogLimit);
     if (!Rob.empty())
       Out += "provenance: robustness" + Rob.substr(1) + "\n";
     std::string Env;

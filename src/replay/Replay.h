@@ -20,6 +20,7 @@
 #define DYNFB_REPLAY_REPLAY_H
 
 #include "apps/App.h"
+#include "apps/Harness.h"
 #include "fb/Config.h"
 #include "obs/Export.h"
 #include "perturb/Engine.h"
@@ -47,13 +48,36 @@ struct MaterializedRun {
   unsigned Procs = 0;
 };
 
+/// Builds the run \p Meta describes: the app over its version space, the
+/// machine with the cost overrides applied, the executable flavour of the
+/// policy name, the feedback configuration (every knob range-checked
+/// through the obs knob table) and the compiled --perturb or --traffic
+/// engine. The one resolution path of dynfb-run and materialize; \p Source
+/// decides whether diagnostics name flags or run_spec keys. Fails (nullopt,
+/// \p Error set to a one-line diagnostic) on any invalid field.
+std::optional<MaterializedRun> resolve(const obs::TraceMeta &Meta,
+                                       obs::KnobSource Source,
+                                       std::string &Error);
+
 /// Reconstructs the run configuration recorded in \p Trace's meta line.
 /// Fails (nullopt, \p Error set) when the trace predates replay support
 /// (no run_spec), was recorded on the native backend (real time is not
-/// replayable), names an unknown app/machine/policy, or the rebuilt
-/// machine's parameter set does not round-trip the recorded one.
+/// replayable), resolve() rejects it, or the rebuilt machine's parameter
+/// set does not round-trip the recorded one.
 std::optional<MaterializedRun> materialize(const obs::RunTrace &Trace,
                                            std::string &Error);
+
+/// Runs \p Run once on \p Backend, the way dynfb-run does. When \p Trace
+/// is non-null, observes the run and records it there as --trace-out
+/// writes it: machine identity on the simulator, and \p Meta's app name
+/// and run_spec.
+fb::RunResult record(const MaterializedRun &Run, const obs::TraceMeta &Meta,
+                     const apps::BackendOptions &Backend,
+                     obs::RunTrace *Trace);
+
+/// Shard-lock count a --traffic spec compiles against: the lock objects of
+/// \p App's first parallel section (kvserve: the store shards).
+unsigned trafficShards(const apps::App &App);
 
 /// Outcome of one replay: the re-recorded trace plus the comparison against
 /// the recording.

@@ -102,6 +102,22 @@ dynfb::closestMatch(const std::string &Word,
   return Best;
 }
 
+std::string dynfb::unknownName(const std::string &What,
+                               const std::string &Name,
+                               const std::vector<std::string> &Known,
+                               const std::string &KnownLabel) {
+  const std::string Near = closestMatch(Name, Known);
+  std::string Out = "unknown " + What + " '" + Name + "'";
+  if (!Near.empty())
+    Out += " (did you mean '" + Near + "'?)";
+  if (KnownLabel.empty())
+    return Out;
+  Out += "; " + KnownLabel + ":";
+  for (size_t I = 0; I < Known.size(); ++I)
+    Out += (I ? ", " : " ") + Known[I];
+  return Out;
+}
+
 std::string dynfb::formatSeconds(double Seconds) {
   if (Seconds < 1e-3)
     return format("%.1f us", Seconds * 1e6);

@@ -49,6 +49,13 @@ size_t editDistance(const std::string &A, const std::string &B);
 std::string closestMatch(const std::string &Word,
                          const std::vector<std::string> &Candidates);
 
+/// "unknown <What> '<Name>'", with a "did you mean" hint when one of
+/// \p Known is close to \p Name, then "; <KnownLabel>: <Known...>" unless
+/// \p KnownLabel is empty.
+std::string unknownName(const std::string &What, const std::string &Name,
+                        const std::vector<std::string> &Known,
+                        const std::string &KnownLabel = "");
+
 } // namespace dynfb
 
 #endif // DYNFB_SUPPORT_STRINGUTILS_H

@@ -3,7 +3,8 @@
 // Part of the dynfb project (PLDI 1997 "Dynamic Feedback" reproduction).
 //
 // Covers the src/replay subsystem (docs/REPLAY.md): trace materialization
-// and replay divergence detection, the run_spec meta round-trip, the
+// and replay divergence detection, the run_spec meta round-trip, every
+// knob-table row's CLI -> trace -> replay round trip and range check, the
 // truncated-trace diagnostic, SimMachine checkpoint/restore identity, the
 // Explorer's checkpointed counterfactuals against fresh pinned runs, and
 // concurrent exploration against a serial checkpoint/restore reference.
@@ -20,11 +21,14 @@
 #include "replay/Replay.h"
 #include "rt/MachineModel.h"
 #include "sim/Backend.h"
+#include "support/CommandLine.h"
 #include "support/StringUtils.h"
 #include "xform/VersionSpace.h"
 
 #include <gtest/gtest.h>
 #include <limits>
+#include <map>
+#include <variant>
 
 using namespace dynfb;
 using namespace dynfb::rt;
@@ -564,6 +568,204 @@ TEST(ReplayTest, RunSpecRoundTripsThroughJsonl) {
   // rests on this.
   EXPECT_EQ(obs::toJsonl(*Parsed), Jsonl);
 }
+
+// ------------------------- The knob table -----------------------------------
+
+/// Row names for the knob-table test instances.
+std::vector<std::string> knobKeys() {
+  std::vector<std::string> Keys;
+  for (const obs::Knob &K : obs::runSpecKnobs())
+    Keys.push_back(K.Key);
+  return Keys;
+}
+
+std::string keyName(const testing::TestParamInfo<std::string> &Info) {
+  return Info.param;
+}
+
+/// One test instance per knob-table row.
+class ReplayKnobTest : public testing::TestWithParam<std::string> {
+protected:
+  const obs::Knob &knob() const { return obs::knobByKey(GetParam()); }
+};
+
+/// A valid, non-default value for every knob, as the dynfb-run arguments
+/// that set it. Keyed by flag: a table row without an entry fails
+/// RoundTripsCliTraceReplay, so a new knob cannot skip the round trip.
+const std::map<std::string, std::vector<std::string>> KnobSamples = {
+    {"scale", {"--scale", "0.05"}},
+    {"dimensions", {"--dimensions", "sync,sched", "--chunks", "8"}},
+    {"chunks", {"--dimensions", "sync,sched", "--chunks", "8,32"}},
+    {"sampling", {"--sampling", "0.002"}},
+    {"production", {"--production", "0.05"}},
+    {"cutoff", {"--cutoff"}},
+    {"ordering", {"--ordering"}},
+    {"spanning", {"--spanning"}},
+    {"repeats", {"--repeats", "3"}},
+    {"aggregate", {"--repeats", "3", "--aggregate", "median"}},
+    {"hysteresis", {"--hysteresis", "0.05"}},
+    {"drift", {"--drift", "0.1"}},
+    {"slice", {"--slice", "0.01"}},
+    {"quarantine", {"--quarantine", "2"}},
+    {"quarantine-window", {"--quarantine", "2", "--quarantine-window", "4"}},
+    {"quarantine-limit", {"--quarantine", "2", "--quarantine-limit", "0.5"}},
+    {"quarantine-backoff",
+     {"--quarantine", "2", "--quarantine-backoff", "2"}},
+    {"watchdog", {"--watchdog", "3"}},
+    {"watchdog-limit", {"--watchdog", "3", "--watchdog-limit", "0.5"}},
+    {"sampler", {"--sampler", "halving"}},
+    {"search-budget", {"--sampler", "halving", "--search-budget", "0.4"}},
+    {"ucb-explore", {"--sampler", "ucb", "--ucb-explore", "1.5"}},
+    {"perturb", {"--perturb", "contend@0.1s-0.3s:extra=300us"}},
+    {"traffic", {"--traffic", "storm:storm=0.4:seed=7"}},
+    {"cost", {"--cost", "AcquireNanos=400"}},
+    // Native only: the simulator rejects --timescale.
+    {"timescale", {"--backend", "native", "--timescale", "0.001"}},
+};
+
+// Every knob survives CLI -> trace -> replay -> re-export: dynfb-run's flag
+// parsing and resolution path (string at scale 0.1 on 2 processors), a
+// JSONL round trip, a replay with zero divergence and a byte-identical
+// re-export. The native-only timescale round-trips through the file and
+// replay refuses it, as it refuses every native trace.
+TEST_P(ReplayKnobTest, RoundTripsCliTraceReplay) {
+  const obs::Knob &K = knob();
+  const auto Sample = KnobSamples.find(K.Flag);
+  ASSERT_NE(Sample, KnobSamples.end())
+      << "no round-trip sample value for --" << K.Flag;
+  std::vector<std::string> Args = {"dynfb-run"};
+  if (Sample->first != "scale")
+    Args.insert(Args.end(), {"--scale", "0.1"});
+  Args.insert(Args.end(), Sample->second.begin(), Sample->second.end());
+  std::vector<const char *> Argv;
+  for (const std::string &A : Args)
+    Argv.push_back(A.c_str());
+  const CommandLine CL(static_cast<int>(Argv.size()), Argv.data());
+
+  obs::TraceMeta Meta;
+  Meta.App = "string";
+  Meta.Policy = "dynamic";
+  Meta.Procs = 2;
+  Meta.Backend = CL.getString("backend", "sim");
+  std::string Error;
+  ASSERT_TRUE(obs::parseKnobFlags(CL, Meta.Spec, Error)) << Error;
+  const obs::RunSpec Default;
+  EXPECT_TRUE(std::visit(
+      [&](auto Member) { return Meta.Spec.*Member != Default.*Member; },
+      K.Field))
+      << "the sample leaves --" << K.Flag << " at its default";
+
+  const std::optional<replay::MaterializedRun> Run =
+      replay::resolve(Meta, obs::KnobSource::CommandLine, Error);
+  ASSERT_TRUE(Run.has_value()) << Error;
+  const bool Native = Meta.Backend == "native";
+  obs::RunTrace Recorded;
+  replay::record(*Run, Meta,
+                 Native ? apps::BackendOptions::native(Meta.Spec.TimeScale)
+                        : apps::BackendOptions::sim(),
+                 &Recorded);
+  const std::string Jsonl = obs::toJsonl(Recorded);
+  const std::optional<obs::RunTrace> Parsed = obs::parseJsonl(Jsonl, Error);
+  ASSERT_TRUE(Parsed.has_value()) << Error;
+  EXPECT_EQ(obs::toJsonl(*Parsed), Jsonl);
+  if (Native) {
+    EXPECT_FALSE(replay::materialize(*Parsed, Error).has_value());
+    return;
+  }
+  const std::optional<replay::ReplayResult> Result =
+      replay::replayTrace(*Parsed, Error);
+  ASSERT_TRUE(Result.has_value()) << Error;
+  EXPECT_FALSE(Result->diverged()) << Result->Divergence;
+  EXPECT_EQ(obs::toJsonl(Result->Replayed), Jsonl);
+}
+
+/// A value outside every knob's range, as run_spec JSON. Booleans have no
+/// range: theirs is a value of the wrong type.
+const std::map<std::string, std::string> OutOfRange = {
+    {"scale", "-1"},
+    {"dimensions", "\"bogus\""},
+    {"chunks", "\"8\""},
+    {"sampling_ns", "0"},
+    {"production_ns", "-5"},
+    {"cutoff", "3"},
+    {"ordering", "\"yes\""},
+    {"spanning", "null"},
+    {"repeats", "-1"},
+    {"aggregate", "\"mode\""},
+    {"hysteresis", "-1"},
+    {"drift", "1"},
+    {"slice_ns", "-100"},
+    {"quarantine", "-3"},
+    {"quarantine_window", "0"},
+    {"quarantine_limit", "-3"},
+    {"quarantine_backoff", "4294967296"},
+    {"watchdog", "-1"},
+    {"watchdog_limit", "1.5"},
+    {"sampler", "\"nosuch\""},
+    {"search_budget", "0"},
+    {"ucb_explore", "-1"},
+    {"perturb", "\"bogus@1s-2s\""},
+    {"traffic", "\"monsoon\""},
+    {"cost", "\"Bogus=1\""},
+    {"timescale", "-1"},
+};
+
+/// \p Jsonl with run_spec key \p Key's value replaced by \p Value (nullopt:
+/// the key removed).
+std::string withRunSpecValue(const std::string &Jsonl, const std::string &Key,
+                             const std::optional<std::string> &Value) {
+  const std::string Field = "\"" + Key + "\":";
+  const size_t Start = Jsonl.find(Field, Jsonl.find("\"run_spec\":"));
+  EXPECT_NE(Start, std::string::npos) << Key;
+  // Default values hold no ',' or '}'.
+  const size_t End = Jsonl.find_first_of(",}", Start);
+  if (Value)
+    return Jsonl.substr(0, Start) + Field + *Value + Jsonl.substr(End);
+  const bool Last = Jsonl[End] == '}';
+  return Jsonl.substr(0, Last ? Start - 1 : Start) +
+         Jsonl.substr(Last ? End : End + 1);
+}
+
+// Replay holds a run_spec to dynfb-run's rules: an out-of-range value
+// fails materialize with a one-line diagnostic naming the key (a value the
+// reader cannot hold at all, such as a non-boolean switch, already fails
+// the parse that way), and a missing key takes the row default.
+TEST_P(ReplayKnobTest, OutOfRangeRunSpecValueIsRefused) {
+  const obs::Knob &K = knob();
+  const auto Bad = OutOfRange.find(K.Key);
+  ASSERT_NE(Bad, OutOfRange.end()) << "no out-of-range value for " << K.Key;
+  obs::RunTrace Trace;
+  Trace.Meta.App = "string";
+  Trace.Meta.Policy = "dynamic";
+  Trace.Meta.Procs = 2;
+  Trace.Meta.Spec.Present = true;
+  Trace.Meta.Spec.Scale = 0.1;
+  const std::string Valid = obs::toJsonl(Trace);
+
+  std::string Error;
+  const std::optional<obs::RunTrace> Parsed =
+      obs::parseJsonl(withRunSpecValue(Valid, K.Key, Bad->second), Error);
+  if (K.Kind == obs::KnobKind::Bool) {
+    EXPECT_FALSE(Parsed.has_value());
+  } else {
+    ASSERT_TRUE(Parsed.has_value()) << Error;
+    EXPECT_FALSE(replay::materialize(*Parsed, Error).has_value());
+  }
+  EXPECT_NE(Error.find("'" + std::string(K.Key) + "'"), std::string::npos)
+      << Error;
+  EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+
+  const std::optional<obs::RunTrace> Missing =
+      obs::parseJsonl(withRunSpecValue(Valid, K.Key, std::nullopt), Error);
+  ASSERT_TRUE(Missing.has_value()) << Error;
+  const obs::RunSpec Default;
+  EXPECT_TRUE(std::visit(
+      [&](auto Member) { return Missing->Meta.Spec.*Member == Default.*Member; },
+      K.Field));
+}
+
+INSTANTIATE_TEST_SUITE_P(KnobTable, ReplayKnobTest,
+                         testing::ValuesIn(knobKeys()), keyName);
 
 // ------------------------- Truncation rejection -----------------------------
 

@@ -219,16 +219,10 @@ int cmdRun(CommandLine &CL) {
                  "has no effect on native jobs\n",
                  Machine.c_str());
   if (!Machine.empty() && !rt::createMachineModel(Machine)) {
-    const std::string Near = closestMatch(Machine, rt::machineModelNames());
-    std::string Known;
-    for (const std::string &Name : rt::machineModelNames())
-      Known += (Known.empty() ? "" : ", ") + Name;
-    std::fprintf(stderr,
-                 "dynfb-bench: unknown machine model '%s'%s; known: %s\n",
-                 Machine.c_str(),
-                 Near.empty() ? ""
-                              : (" (did you mean '" + Near + "'?)").c_str(),
-                 Known.c_str());
+    std::fprintf(stderr, "dynfb-bench: %s\n",
+                 unknownName("machine model", Machine,
+                             rt::machineModelNames(), "known")
+                     .c_str());
     return 2;
   }
 
@@ -239,11 +233,8 @@ int cmdRun(CommandLine &CL) {
       std::vector<std::string> Names;
       for (const Experiment &Reg : registry().all())
         Names.push_back(Reg.Name);
-      const std::string Hint = closestMatch(OnlyExp, Names);
-      std::fprintf(stderr, "dynfb-bench: unknown experiment '%s'%s\n",
-                   OnlyExp.c_str(),
-                   Hint.empty() ? ""
-                                : (" (did you mean '" + Hint + "'?)").c_str());
+      std::fprintf(stderr, "dynfb-bench: %s\n",
+                   unknownName("experiment", OnlyExp, Names).c_str());
       return 2;
     }
     if (Native && !E->SupportsNativeBackend) {
