@@ -130,6 +130,28 @@ public:
     LoweringPureCompute.store(V, std::memory_order_relaxed);
   }
 
+  /// Cached tri-state: does every lock operation this method's lowering
+  /// emits lock its receiver (This), reaching callees only through
+  /// This-receiver calls? 0 = not yet computed, 1 = yes, 2 = no. Same
+  /// caching discipline as loweringUsedParams.
+  uint8_t loweringLocksOnlyThis() const {
+    return LoweringLocksOnlyThis.load(std::memory_order_relaxed);
+  }
+  void setLoweringLocksOnlyThis(uint8_t V) const {
+    LoweringLocksOnlyThis.store(V, std::memory_order_relaxed);
+  }
+
+  /// Cached tri-state: does this method's lowering resolve an indexed
+  /// receiver (an array element chosen by a loop index), directly or
+  /// through callees? 0 = not yet computed, 1 = yes, 2 = no. Same caching
+  /// discipline as loweringUsedParams.
+  uint8_t loweringResolvesIndexed() const {
+    return LoweringResolvesIndexed.load(std::memory_order_relaxed);
+  }
+  void setLoweringResolvesIndexed(uint8_t V) const {
+    LoweringResolvesIndexed.store(V, std::memory_order_relaxed);
+  }
+
 private:
   const unsigned Id;
   const std::string Name;
@@ -139,6 +161,8 @@ private:
   bool Synthetic = false;
   mutable std::atomic<uint32_t> LoweringUsedParams{LoweringParamsUnknown};
   mutable std::atomic<uint8_t> LoweringPureCompute{0};
+  mutable std::atomic<uint8_t> LoweringLocksOnlyThis{0};
+  mutable std::atomic<uint8_t> LoweringResolvesIndexed{0};
 };
 
 /// A parallel section: a parallel loop whose iteration i invokes IterMethod

@@ -15,14 +15,6 @@ using namespace dynfb;
 using namespace dynfb::ir;
 using namespace dynfb::rt;
 
-IterationEmitter::IterationEmitter(const Method *Entry,
-                                   const DataBinding &Binding,
-                                   const CostModel &Costs)
-    : Entry(Entry), Binding(Binding), Costs(Costs),
-      FoldLoops(!Binding.readsLoopIndices()) {
-  assert(Entry && "emitter needs an entry method");
-}
-
 namespace {
 
 void markUsedRecv(const Receiver &R, uint32_t &Mask) {
@@ -130,7 +122,143 @@ bool pureComputeOf(const Method *M) {
   return Pure;
 }
 
+bool locksOnlyThisOf(const Method *M);
+
+/// Does every lock operation \p List lowers to lock the frame's This, with
+/// callees reached only through This-receiver calls (so their This is the
+/// same object)?
+bool locksOnlyThisList(const std::vector<Stmt *> &List) {
+  for (const Stmt *S : List) {
+    switch (S->kind()) {
+    case StmtKind::Compute:
+    case StmtKind::Update:
+      break;
+    case StmtKind::Acquire:
+      if (stmtCast<AcquireStmt>(S).Recv.Kind != RecvKind::This)
+        return false;
+      break;
+    case StmtKind::Release:
+      if (stmtCast<ReleaseStmt>(S).Recv.Kind != RecvKind::This)
+        return false;
+      break;
+    case StmtKind::Call: {
+      const auto &C = stmtCast<CallStmt>(S);
+      if (pureComputeOf(C.callee()))
+        break;
+      if (C.Recv.Kind != RecvKind::This || !locksOnlyThisOf(C.callee()))
+        return false;
+      break;
+    }
+    case StmtKind::Loop:
+      if (!locksOnlyThisList(stmtCast<LoopStmt>(S).Body))
+        return false;
+      break;
+    }
+  }
+  return true;
+}
+
+/// Cached (see Method::loweringLocksOnlyThis). A recursion cycle sees the
+/// in-progress conservative "no".
+bool locksOnlyThisOf(const Method *M) {
+  const uint8_t Cached = M->loweringLocksOnlyThis();
+  if (Cached)
+    return Cached == 1;
+  M->setLoweringLocksOnlyThis(2);
+  const bool Only = locksOnlyThisList(M->body());
+  M->setLoweringLocksOnlyThis(Only ? 1 : 2);
+  return Only;
+}
+
+bool resolvesIndexedOf(const Method *M);
+
+/// Does lowering \p List resolve an indexed receiver -- as a lock operand,
+/// a call receiver, an argument the callee reads, or inside a callee? Only
+/// such a resolution calls DataBinding::elementOf, which may read any
+/// active loop index.
+bool resolvesIndexedList(const std::vector<Stmt *> &List) {
+  for (const Stmt *S : List) {
+    switch (S->kind()) {
+    case StmtKind::Compute:
+    case StmtKind::Update:
+      break;
+    case StmtKind::Acquire:
+      if (stmtCast<AcquireStmt>(S).Recv.Kind == RecvKind::ParamIndexed)
+        return true;
+      break;
+    case StmtKind::Release:
+      if (stmtCast<ReleaseStmt>(S).Recv.Kind == RecvKind::ParamIndexed)
+        return true;
+      break;
+    case StmtKind::Call: {
+      const auto &C = stmtCast<CallStmt>(S);
+      const Method *Callee = C.callee();
+      // A pure-compute callee is summed without resolving anything.
+      if (pureComputeOf(Callee))
+        break;
+      if (C.Recv.Kind == RecvKind::ParamIndexed || resolvesIndexedOf(Callee))
+        return true;
+      const uint32_t CalleeUsed = usedParamsOf(Callee);
+      size_t NextArg = 0;
+      for (unsigned P = 0; P < Callee->params().size(); ++P) {
+        if (!Callee->param(P).isObject())
+          continue;
+        if ((CalleeUsed & (1u << P)) &&
+            C.ObjArgs[NextArg].Kind == RecvKind::ParamIndexed)
+          return true;
+        ++NextArg;
+      }
+      break;
+    }
+    case StmtKind::Loop:
+      if (resolvesIndexedList(stmtCast<LoopStmt>(S).Body))
+        return true;
+      break;
+    }
+  }
+  return false;
+}
+
+/// Cached (see Method::loweringResolvesIndexed). A recursion cycle sees the
+/// in-progress conservative "yes".
+bool resolvesIndexedOf(const Method *M) {
+  const uint8_t Cached = M->loweringResolvesIndexed();
+  if (Cached)
+    return Cached == 1;
+  M->setLoweringResolvesIndexed(1);
+  const bool Resolves = resolvesIndexedList(M->body());
+  M->setLoweringResolvesIndexed(Resolves ? 1 : 2);
+  return Resolves;
+}
+
 } // namespace
+
+bool rt::locksOnlyThis(const Method *Entry) {
+  return !pureComputeOf(Entry) && locksOnlyThisOf(Entry);
+}
+
+bool rt::thisObjectInjective(const DataBinding &B) {
+  std::vector<bool> Seen(B.objectCount(), false);
+  for (uint64_t Iter = 0, N = B.iterationCount(); Iter < N; ++Iter) {
+    const ObjectId O = B.thisObject(Iter);
+    if (O >= Seen.size() || Seen[O])
+      return false;
+    Seen[O] = true;
+  }
+  return true;
+}
+
+IterationEmitter::IterationEmitter(const Method *Entry,
+                                   const DataBinding &Binding,
+                                   const CostModel &Costs,
+                                   std::optional<bool> ThisInjective)
+    : Entry(Entry), Binding(Binding), Costs(Costs),
+      FoldLoops(!Binding.readsLoopIndices()),
+      PrivateLocks(locksOnlyThis(Entry) &&
+                   (ThisInjective ? *ThisInjective
+                                  : thisObjectInjective(Binding))) {
+  assert(Entry && "emitter needs an entry method");
+}
 
 void IterationEmitter::pushCompute(std::vector<MicroOp> &Out, Nanos Dur) {
   if (Dur <= 0)
@@ -247,11 +375,13 @@ void IterationEmitter::runList(const Method *M,
       break;
     case StmtKind::Acquire:
       Out.push_back(MicroOp::acquire(
-          resolveObject(stmtCast<AcquireStmt>(S).Recv, M, F, Ctx)));
+          resolveObject(stmtCast<AcquireStmt>(S).Recv, M, F, Ctx),
+          PrivateLocks));
       break;
     case StmtKind::Release:
       Out.push_back(MicroOp::release(
-          resolveObject(stmtCast<ReleaseStmt>(S).Recv, M, F, Ctx)));
+          resolveObject(stmtCast<ReleaseStmt>(S).Recv, M, F, Ctx),
+          PrivateLocks));
       break;
     case StmtKind::Call: {
       const auto &C = stmtCast<CallStmt>(S);
@@ -289,14 +419,47 @@ void IterationEmitter::runList(const Method *M,
       }
       const uint64_t Trip = Binding.tripCount(L.LoopId, Ctx);
       Ctx.Loops.emplace_back(L.LoopId, 0);
-      for (uint64_t I = 0; I < Trip; ++I) {
-        Ctx.Loops.back().second = I;
-        runList(M, L.Body, F, Ctx, Out);
+      if (FoldLoops && Trip > 1 && !resolvesIndexedList(L.Body)) {
+        runReplicatedLoop(M, L, F, Ctx, Trip, Out);
+      } else {
+        for (uint64_t I = 0; I < Trip; ++I) {
+          Ctx.Loops.back().second = I;
+          runList(M, L.Body, F, Ctx, Out);
+        }
       }
       Ctx.Loops.pop_back();
       break;
     }
     }
+  }
+}
+
+void IterationEmitter::runReplicatedLoop(const Method *M, const LoopStmt &L,
+                                         const Frame &F, LoopCtx &Ctx,
+                                         uint64_t Trip,
+                                         std::vector<MicroOp> &Out) const {
+  std::vector<MicroOp> Body;
+  runList(M, L.Body, F, Ctx, Body);
+#ifndef NDEBUG
+  std::vector<MicroOp> Last;
+  Ctx.Loops.back().second = Trip - 1;
+  runList(M, L.Body, F, Ctx, Last);
+  assert(Last == Body && "replicated loop body differs from its last trip: "
+                         "binding declared loop-index-free reads the index");
+#endif
+  if (Body.empty())
+    return;
+  // Body holds merged ops, so only its leading compute can meet a compute
+  // (the previous trip's tail, or what preceded the loop) and merge.
+  const bool LeadsWithCompute = Body.front().K == MicroOp::Kind::Compute;
+  const size_t Need = Out.size() + Trip * Body.size();
+  if (Out.capacity() < Need)
+    Out.reserve(std::max(Need, 2 * Out.capacity()));
+  for (uint64_t I = 0; I < Trip; ++I) {
+    if (LeadsWithCompute)
+      pushCompute(Out, Body.front().Dur);
+    Out.insert(Out.end(), Body.begin() + (LeadsWithCompute ? 1 : 0),
+               Body.end());
   }
 }
 
@@ -341,11 +504,7 @@ IterationEmitter::ops(uint64_t Iter, std::vector<MicroOp> &Scratch) const {
   // A cache hit must match a live emit exactly: a binding whose iterations
   // drift while claiming a stable iterationClass corrupts the simulation.
   emit(Iter, Scratch);
-  const std::vector<MicroOp> &Cached = Cache->Seqs[Key];
-  assert(Scratch.size() == Cached.size() && "stale ops cache");
-  for (size_t I = 0; I < Cached.size(); ++I)
-    assert(Scratch[I].K == Cached[I].K && Scratch[I].Obj == Cached[I].Obj &&
-           Scratch[I].Dur == Cached[I].Dur && "stale ops cache");
+  assert(Scratch == Cache->Seqs[Key] && "stale ops cache");
 #endif
   return Cache->Seqs[Key];
 }
@@ -359,7 +518,11 @@ bool IterationEmitter::fillSlot(uint64_t Iter, size_t Key) const {
   }
   if (Cache->Filled[Key])
     return false;
-  emit(Iter, Cache->Seqs[Key]);
+  std::vector<MicroOp> &Seq = Cache->Seqs[Key];
+  emit(Iter, Seq);
+  // Emission grows the vector geometrically; the slot is read-only from
+  // here on, so keep none of the slack.
+  Seq.shrink_to_fit();
   Cache->Filled[Key] = 1;
   return true;
 }

@@ -10,6 +10,8 @@
 /// loop trip counts / compute costs through the application's DataBinding,
 /// and emits the flat MicroOp sequence the machine executes. Commuting
 /// updates are folded into compute time; adjacent computes are merged.
+/// Lock operations are marked private when no other iteration can touch
+/// their lock (see locksOnlyThis and thisObjectInjective).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +23,19 @@
 #include "rt/CostModel.h"
 #include "rt/MicroOp.h"
 
+#include <optional>
 #include <vector>
 
 namespace dynfb::rt {
+
+/// Whether \p Entry's lowering emits lock operations and every one of them
+/// locks the iteration's own object: receiver This, reaching callees only
+/// through This-receiver calls. Cached on the methods.
+bool locksOnlyThis(const ir::Method *Entry);
+
+/// Whether \p B.thisObject maps the iterations [0, iterationCount()) to
+/// pairwise distinct objects in [0, objectCount()). O(iterations).
+bool thisObjectInjective(const DataBinding &B);
 
 /// Memoized micro-op sequences for one section version, keyed by
 /// DataBinding::iterationClass. Owned by whoever owns the binding's
@@ -40,9 +52,18 @@ class EmittedOpsCache {
 class IterationEmitter {
 public:
   /// \p Entry is the section version's entry method; \p Binding supplies the
-  /// data-dependent pieces; \p Costs prices field updates.
+  /// data-dependent pieces; \p Costs prices field updates. When
+  /// locksOnlyThis(Entry) holds and \p Binding's thisObject is injective,
+  /// every lock is iteration-private and its operations are emitted marked
+  /// so. \p ThisInjective passes thisObjectInjective(Binding) in when the
+  /// caller already knows it; otherwise the emitter checks it itself, and
+  /// only for such an entry.
   IterationEmitter(const ir::Method *Entry, const DataBinding &Binding,
-                   const CostModel &Costs);
+                   const CostModel &Costs,
+                   std::optional<bool> ThisInjective = std::nullopt);
+
+  /// Whether this version's lock operations are emitted private.
+  bool privateLocks() const { return PrivateLocks; }
 
   /// Appends iteration \p Iter's micro-ops to \p Out (Out is cleared first).
   void emit(uint64_t Iter, std::vector<MicroOp> &Out) const;
@@ -124,6 +145,15 @@ private:
   /// (see DataBinding::readsLoopIndices), otherwise trip by trip.
   Nanos sumComputeLoop(const ir::LoopStmt &L, LoopCtx &Ctx) const;
 
+  /// Emits \p Trip (> 1) trips of a locking loop whose body resolves no
+  /// indexed receiver, for a binding that reads no loop index: every trip
+  /// lowers alike, so trip 0 is emitted once and copied, merging the
+  /// computes that meet at each seam. Builds with assertions also emit the
+  /// last trip and abort if it differs. \p Ctx has the loop's entry on top.
+  void runReplicatedLoop(const ir::Method *M, const ir::LoopStmt &L,
+                         const Frame &F, LoopCtx &Ctx, uint64_t Trip,
+                         std::vector<MicroOp> &Out) const;
+
   ObjectId resolveObject(const ir::Receiver &R, const ir::Method *M,
                          const Frame &F, const LoopCtx &Ctx) const;
   ObjRef resolveRef(const ir::Receiver &R, const ir::Method *M,
@@ -131,15 +161,19 @@ private:
 
   static void pushCompute(std::vector<MicroOp> &Out, Nanos Dur);
 
-  /// Makes cache slot \p Key hold iteration \p Iter's ops (growing the
-  /// cache as needed); returns true if it had to emit them.
+  /// Makes cache slot \p Key hold iteration \p Iter's ops, stored at their
+  /// exact size (growing the cache as needed); returns true if it had to
+  /// emit them.
   bool fillSlot(uint64_t Iter, size_t Key) const;
 
   const ir::Method *const Entry;
   const DataBinding &Binding;
   const CostModel Costs;
-  /// !Binding.readsLoopIndices(): pure-compute loops are priced in O(1).
+  /// !Binding.readsLoopIndices(): pure-compute loops are priced in O(1) and
+  /// locking loops are emitted by replicating one trip.
   const bool FoldLoops;
+  /// Every lock of this version is iteration-private (see constructor).
+  const bool PrivateLocks;
   EmittedOpsCache *Cache = nullptr;
 };
 

@@ -26,19 +26,31 @@ struct MicroOp {
   enum class Kind : uint8_t { Compute, Acquire, Release };
 
   Kind K = Kind::Compute;
+  /// Acquire/Release of a lock no other iteration of the section touches
+  /// (see IterationEmitter): the step involves only the running processor,
+  /// so the simulator runs it without global ordering.
+  bool Private = false;
   ObjectId Obj = 0; ///< Lock identity for Acquire/Release.
   Nanos Dur = 0;    ///< Duration for Compute.
 
   static MicroOp compute(Nanos Dur) {
-    return MicroOp{Kind::Compute, 0, Dur};
+    return MicroOp{Kind::Compute, false, 0, Dur};
   }
-  static MicroOp acquire(ObjectId O) {
-    return MicroOp{Kind::Acquire, O, 0};
+  static MicroOp acquire(ObjectId O, bool Private = false) {
+    return MicroOp{Kind::Acquire, Private, O, 0};
   }
-  static MicroOp release(ObjectId O) {
-    return MicroOp{Kind::Release, O, 0};
+  static MicroOp release(ObjectId O, bool Private = false) {
+    return MicroOp{Kind::Release, Private, O, 0};
+  }
+
+  friend bool operator==(const MicroOp &A, const MicroOp &B) {
+    return A.K == B.K && A.Private == B.Private && A.Obj == B.Obj &&
+           A.Dur == B.Dur;
   }
 };
+
+// Ops caches hold millions of these; the flag lives in Kind's padding.
+static_assert(sizeof(MicroOp) == 16, "MicroOp grew past 16 bytes");
 
 } // namespace dynfb::rt
 

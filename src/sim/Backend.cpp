@@ -24,6 +24,7 @@ void SimBackend::addSection(const std::string &Name,
   // Fresh caches: a re-registered section may bring new code versions or a
   // new binding, invalidating previously memoized sequences.
   Info.OpsCaches = std::vector<rt::EmittedOpsCache>(Info.Versions.size());
+  Info.ThisInjective = thisInjectiveIfNeeded(*Binding, Info.Versions);
 }
 
 void SimBackend::addSections(const rt::SectionRegistry &Registry) {
@@ -47,8 +48,8 @@ SimBackend::section(const std::string &Name) const {
 std::unique_ptr<SimSectionRunner>
 SimBackend::beginSectionOn(SimMachine &M, const std::string &Name) {
   SectionInfo &Info = section(Name);
-  auto Runner = std::make_unique<SimSectionRunner>(M, *Info.Binding,
-                                                   Info.Versions, Instrumented);
+  auto Runner = std::make_unique<SimSectionRunner>(
+      M, *Info.Binding, Info.Versions, Instrumented, Info.ThisInjective);
   Runner->attachOpsCaches(&Info.OpsCaches);
   Runner->setPerturbation(M.perturbation(), Name);
   return Runner;
@@ -73,7 +74,7 @@ void SimBackend::fillOpsCaches(const std::string &Name) {
   SectionInfo &Info = section(Name);
   for (size_t V = 0; V < Info.Versions.size(); ++V) {
     rt::IterationEmitter Emitter(Info.Versions[V].Entry, *Info.Binding,
-                                 Machine.costs());
+                                 Machine.costs(), Info.ThisInjective);
     Emitter.attachCache(&Info.OpsCaches[V]);
     Emitter.fillCache();
   }

@@ -22,6 +22,7 @@
 #include "sim/SectionSim.h"
 
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -113,6 +114,9 @@ private:
     /// occurrences (valid because iterationClass keys are stable for the
     /// binding's lifetime; re-registering a section replaces the caches).
     std::vector<rt::EmittedOpsCache> OpsCaches;
+    /// rt::thisObjectInjective(*Binding), checked once at registration when
+    /// some version's locks are all on This (which may make them private).
+    std::optional<bool> ThisInjective;
   };
 
   const SectionInfo &section(const std::string &Name) const;

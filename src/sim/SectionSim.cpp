@@ -4,13 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Event-driven simulation. The processor with the smallest (local virtual
-// clock, index) key executes its next micro-op. Processing in global time
-// order makes lock request ordering exact: an acquire processed later was
-// issued later. The running processor stays out of the ready queue (a
+// Event-driven simulation. Steps that interact with other processors --
+// scheduler fetches and shared-lock acquires and releases -- run in global
+// (local virtual clock, index) order: the processor with the smallest key
+// executes the next one. Processing in global time order makes lock request
+// ordering exact: an acquire processed later was issued later. Every other
+// step touches only its own processor (compute, iteration boundaries, timer
+// polls, operations on iteration-private locks), commutes with every other
+// processor's steps, and runs as soon as its processor reaches it, ahead of
+// the global order. The running processor stays out of the ready queue (a
 // min-heap over the other runnable processors) for as long as its key stays
-// below the queue's front, so most micro-ops pay no heap operation and the
-// rest pay one sift-down (see ReadyQueue). Blocked processors leave the
+// below the queue's front, so most ordered steps pay no heap operation and
+// the rest pay one sift-down (see ReadyQueue). Blocked processors leave the
 // queue and are re-inserted when the lock holder's release grants them the
 // lock (FIFO), with their waiting time converted into counted failed
 // acquire attempts, exactly how the paper's instrumentation accounts
@@ -206,18 +211,30 @@ struct SimSectionRunner::IntervalState {
   std::vector<ObjectId> TraceTouched;
 };
 
+std::optional<bool>
+sim::thisInjectiveIfNeeded(const DataBinding &Binding,
+                           const std::vector<SimVersion> &Versions) {
+  for (const SimVersion &V : Versions)
+    if (locksOnlyThis(V.Entry))
+      return thisObjectInjective(Binding);
+  return std::nullopt;
+}
+
 SimSectionRunner::SimSectionRunner(SimMachine &Machine,
                                    const DataBinding &Binding,
                                    std::vector<SimVersion> Versions,
-                                   bool Instrumented)
+                                   bool Instrumented,
+                                   std::optional<bool> ThisInjective)
     : Machine(Machine), Binding(Binding), Versions(std::move(Versions)),
       Instrumented(Instrumented),
       SchedInstrumented(anyNonDynamicSched(this->Versions)),
       NumIterations(Binding.iterationCount()) {
   assert(!this->Versions.empty() && "section needs at least one version");
+  if (!ThisInjective)
+    ThisInjective = thisInjectiveIfNeeded(Binding, this->Versions);
   Emitters.reserve(this->Versions.size());
   for (const SimVersion &V : this->Versions)
-    Emitters.emplace_back(V.Entry, Binding, Machine.costs());
+    Emitters.emplace_back(V.Entry, Binding, Machine.costs(), ThisInjective);
 }
 
 SimSectionRunner::~SimSectionRunner() = default;
@@ -420,16 +437,45 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
   const bool VariableChunk = Sched.variableChunk();
   const uint64_t Chunk = Sched.chunkIters();
 
-  // Each pass runs one step of processor Cur: the earliest runnable one.
-  // A step that leaves it runnable hands over through Ready.next; stopping
-  // or blocking hands over through Ready.pop.
+  // Each pass runs one step of processor Cur. Only steps that interact with
+  // other processors are ordered: scheduler fetches (they claim from the
+  // shared iteration counter) and acquires and releases of shared locks.
+  // Before one runs, Ready.next hands over to the earliest queued processor
+  // if its (clock, index) key is lower. Every other step -- compute, an
+  // iteration boundary, a timer poll or deadline stop, an operation on a
+  // private lock -- reads and writes only Cur's own state, so Cur runs it
+  // straight on and its clock runs ahead of the queue. Stopping or blocking
+  // hands over through Ready.pop.
   uint32_t Cur = 0;
+#ifndef NDEBUG
+  // Ordered steps run in nondecreasing key order, except that a lock grant
+  // may queue its waiter below the releaser's key (only when the grant is
+  // free), and the waiter's next ordered step then runs from there.
+  ReadyKey LastOrdered{Start, 0};
+#endif
+  // Before an ordered step of Cur: the processor to run now, which is Cur
+  // unless an earlier one is queued (Cur then takes its place in the queue).
+  auto Ordered = [&](Nanos T) -> uint32_t {
+    const uint32_t Next = Ready.next(T, Cur);
+#ifndef NDEBUG
+    if (Next == Cur) {
+      assert(!(ReadyKey{T, Cur} < LastOrdered) &&
+             "ordered step out of (clock, index) order");
+      LastOrdered = ReadyKey{T, Cur};
+    }
+#endif
+    return Next;
+  };
   while (Cur != NoProc) {
     Proc &Pr = Procs[Cur];
     assert(!Pr.Stopped && "stopped processor in ready queue");
 
     if (!Pr.HasIteration) {
       if (Pr.ClaimNext >= Pr.ClaimEnd) {
+        if (const uint32_t Next = Ordered(Pr.Clock); Next != Cur) {
+          Cur = Next;
+          continue;
+        }
         // Self-scheduling: fetch the next chunk of iterations (exactly one
         // under dynamic scheduling).
         ++TallySchedFetches;
@@ -465,18 +511,15 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       TallyMicroOps += Pr.NumOps;
       if (Trace)
         ++Trace->Procs[Cur].Iterations;
-      Cur = Ready.next(Pr.Clock, Cur);
       continue;
     }
 
     if (Pr.Pc == Pr.NumOps) {
       Pr.HasIteration = false;
-      if (Pr.ClaimNext < Pr.ClaimEnd) {
-        // Mid-chunk iteration boundary: the claimed chunk continues
-        // back-to-back -- no timer poll, not a potential switch point.
-        Cur = Ready.next(Pr.Clock, Cur);
+      // A mid-chunk iteration boundary continues the claimed chunk
+      // back-to-back: no timer poll, not a potential switch point.
+      if (Pr.ClaimNext < Pr.ClaimEnd)
         continue;
-      }
       // Chunk boundary, a potential switch point: poll the timer.
       Nanos TimerCost = Topo ? MM.timerReadNanos(Cur) : CM.TimerReadNanos;
       if (PE) {
@@ -492,15 +535,12 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       if (Pr.Clock >= Deadline) {
         Stop(Pr);
         Cur = Ready.pop();
-      } else {
-        Cur = Ready.next(Pr.Clock, Cur);
       }
       continue;
     }
 
     const MicroOp &Op = Pr.Ops[Pr.Pc];
-    switch (Op.K) {
-    case MicroOp::Kind::Compute: {
+    if (Op.K == MicroOp::Kind::Compute) {
       Nanos Dur = Op.Dur;
       if (PE) {
         const double Scale = PE->computeScale(SectionName, Cur, Pr.Clock);
@@ -516,26 +556,22 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
       ++Pr.Pc;
       if (Trace)
         Trace->Procs[Cur].ComputeNanos += Dur;
-      break;
+      continue;
     }
 
-    case MicroOp::Kind::Acquire: {
-      SimLock &L = Locks[Op.Obj];
-      if (!L.Held) {
-        InjectContention(Pr, Cur, Op.Obj);
-        const Nanos Cost = AcquirePrice(Cur, Op.Obj, 0) +
-                           LockExtra(Pr.Clock);
-        L.Held = true;
-        ++TallyAcquires;
-        ++Pr.Stats.AcquireReleasePairs;
-        Pr.Stats.LockOpNanos += Cost;
-        Pr.Clock += Cost;
-        ++Pr.Pc;
-        if (Trace) {
-          Trace->Procs[Cur].LockOpNanos += Cost;
-          TraceLock(Op.Obj);
-        }
-      } else {
+    // No other iteration touches a private lock, so its operations involve
+    // Cur alone: the lock is always free to acquire and has no waiter at
+    // release.
+    if (!Op.Private) {
+      if (const uint32_t Next = Ordered(Pr.Clock); Next != Cur) {
+        Cur = Next;
+        continue;
+      }
+    }
+    SimLock &L = Locks[Op.Obj];
+    if (Op.K == MicroOp::Kind::Acquire) {
+      if (L.Held) {
+        assert(!Op.Private && "private lock held by another iteration");
         // Block: the processor spins until the holder's release grants it
         // the lock. Its clock stays at the request time.
         Pr.NextWaiter = NoProc;
@@ -548,65 +584,75 @@ IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
         Cur = Ready.pop();
         continue;
       }
-      break;
+      InjectContention(Pr, Cur, Op.Obj);
+      const Nanos Cost = AcquirePrice(Cur, Op.Obj, 0) + LockExtra(Pr.Clock);
+      L.Held = true;
+      ++TallyAcquires;
+      ++Pr.Stats.AcquireReleasePairs;
+      Pr.Stats.LockOpNanos += Cost;
+      Pr.Clock += Cost;
+      ++Pr.Pc;
+      if (Trace) {
+        Trace->Procs[Cur].LockOpNanos += Cost;
+        TraceLock(Op.Obj);
+      }
+      continue;
     }
 
-    case MicroOp::Kind::Release: {
-      SimLock &L = Locks[Op.Obj];
-      assert(L.Held && "release of a free lock");
-      const Nanos RelTotal = ReleasePrice(Cur, Op.Obj) + LockExtra(Pr.Clock);
-      Pr.Stats.LockOpNanos += RelTotal;
-      Pr.Clock += RelTotal;
-      ++Pr.Pc;
-      if (Trace)
-        Trace->Procs[Cur].LockOpNanos += RelTotal;
-      if (L.WaitHead != NoProc) {
-        const uint32_t W = L.WaitHead;
-        Proc &Waiter = Procs[W];
-        L.WaitHead = Waiter.NextWaiter;
-        if (L.WaitHead == NoProc)
-          L.WaitTail = NoProc;
-        --L.NumWaiters;
-        Waiter.NextWaiter = NoProc;
-        const Nanos Wait = Pr.Clock - Waiter.Clock;
-        assert(Wait >= 0 && "negative waiting time");
-        ++TallyAcquires;
-        ++TallyContended;
-        TallyLockWaitNanos += Wait;
-        Waiter.Stats.WaitNanos += Wait;
-        Waiter.Stats.FailedAcquires +=
-            Wait > 0 ? static_cast<uint64_t>((Wait + FailedAcqDiv - 1) /
-                                             FailedAcqDiv)
-                     : 1;
-        Waiter.Clock = Pr.Clock;
-        if constexpr (Topo)
-          ++S.NodeContended[MM.nodeOf(W)];
-        if (Trace) {
-          IntervalTrace::ProcSummary &WS = Trace->Procs[W];
-          WS.WaitNanos += Wait;
-          IntervalTrace::LockSummary &LS = TraceLock(Op.Obj);
-          ++LS.Contended;
-          LS.WaitNanos += Wait;
-        }
-        // The granted waiter completes its acquire (paying any injected
-        // contention and lock-construct surcharge active at grant time).
-        InjectContention(Waiter, W, Op.Obj);
-        const Nanos WAcqCost =
-            AcquirePrice(W, Op.Obj, L.NumWaiters) + LockExtra(Waiter.Clock);
-        ++Waiter.Stats.AcquireReleasePairs;
-        Waiter.Stats.LockOpNanos += WAcqCost;
-        Waiter.Clock += WAcqCost;
-        ++Waiter.Pc;
-        if (Trace)
-          Trace->Procs[W].LockOpNanos += WAcqCost;
-        Ready.push(Waiter.Clock, W);
-      } else {
-        L.Held = false;
-      }
-      break;
+    assert(L.Held && "release of a free lock");
+    const Nanos RelTotal = ReleasePrice(Cur, Op.Obj) + LockExtra(Pr.Clock);
+    Pr.Stats.LockOpNanos += RelTotal;
+    Pr.Clock += RelTotal;
+    ++Pr.Pc;
+    if (Trace)
+      Trace->Procs[Cur].LockOpNanos += RelTotal;
+    if (L.WaitHead == NoProc) {
+      L.Held = false;
+      continue;
     }
+    assert(!Op.Private && "waiter on a private lock");
+    const uint32_t W = L.WaitHead;
+    Proc &Waiter = Procs[W];
+    L.WaitHead = Waiter.NextWaiter;
+    if (L.WaitHead == NoProc)
+      L.WaitTail = NoProc;
+    --L.NumWaiters;
+    Waiter.NextWaiter = NoProc;
+    const Nanos Wait = Pr.Clock - Waiter.Clock;
+    assert(Wait >= 0 && "negative waiting time");
+    ++TallyAcquires;
+    ++TallyContended;
+    TallyLockWaitNanos += Wait;
+    Waiter.Stats.WaitNanos += Wait;
+    Waiter.Stats.FailedAcquires +=
+        Wait > 0 ? static_cast<uint64_t>((Wait + FailedAcqDiv - 1) /
+                                         FailedAcqDiv)
+                 : 1;
+    Waiter.Clock = Pr.Clock;
+    if constexpr (Topo)
+      ++S.NodeContended[MM.nodeOf(W)];
+    if (Trace) {
+      IntervalTrace::ProcSummary &WS = Trace->Procs[W];
+      WS.WaitNanos += Wait;
+      IntervalTrace::LockSummary &LS = TraceLock(Op.Obj);
+      ++LS.Contended;
+      LS.WaitNanos += Wait;
     }
-    Cur = Ready.next(Pr.Clock, Cur);
+    // The granted waiter completes its acquire (paying any injected
+    // contention and lock-construct surcharge active at grant time).
+    InjectContention(Waiter, W, Op.Obj);
+    const Nanos WAcqCost =
+        AcquirePrice(W, Op.Obj, L.NumWaiters) + LockExtra(Waiter.Clock);
+    ++Waiter.Stats.AcquireReleasePairs;
+    Waiter.Stats.LockOpNanos += WAcqCost;
+    Waiter.Clock += WAcqCost;
+    ++Waiter.Pc;
+    if (Trace)
+      Trace->Procs[W].LockOpNanos += WAcqCost;
+    Ready.push(Waiter.Clock, W);
+#ifndef NDEBUG
+    LastOrdered = std::min(LastOrdered, ReadyKey{Waiter.Clock, W});
+#endif
   }
 
   if (Trace) {

@@ -43,12 +43,14 @@ CommandLine::CommandLine(int Argc, const char *const *Argv) {
 }
 
 const CommandLine::Flag *CommandLine::find(const std::string &Name) const {
+  const Flag *First = nullptr;
   for (const Flag &F : Flags)
     if (F.Name == Name) {
       F.Queried = true;
-      return &F;
+      if (!First)
+        First = &F;
     }
-  return nullptr;
+  return First;
 }
 
 bool CommandLine::has(const std::string &Name) const {
@@ -88,8 +90,20 @@ bool CommandLine::getBool(const std::string &Name, bool Default) const {
 std::vector<std::string> CommandLine::unqueriedFlags() const {
   std::vector<std::string> Out;
   for (const Flag &F : Flags)
-    if (!F.Queried)
+    if (!F.Queried && std::find(Out.begin(), Out.end(), F.Name) == Out.end())
       Out.push_back(F.Name);
+  return Out;
+}
+
+std::vector<std::string> CommandLine::repeatedFlags() const {
+  std::vector<std::string> Out;
+  for (size_t I = 0; I < Flags.size(); ++I) {
+    const std::string &Name = Flags[I].Name;
+    const auto Same = [&](const Flag &F) { return F.Name == Name; };
+    if (std::none_of(Flags.begin(), Flags.begin() + I, Same) &&
+        std::any_of(Flags.begin() + I + 1, Flags.end(), Same))
+      Out.push_back(Name);
+  }
   return Out;
 }
 
@@ -97,13 +111,19 @@ bool dynfb::rejectUnknownFlags(const CommandLine &CL,
                                const std::string &Tool,
                                const std::vector<std::string> &KnownFlags,
                                const std::string &UsageHint) {
+  // A repeated flag is refused rather than resolved: the accessors would
+  // silently take its first value.
+  const std::vector<std::string> Repeated = CL.repeatedFlags();
+  for (const std::string &Name : Repeated)
+    std::fprintf(stderr, "%s: flag '--%s' given more than once\n",
+                 Tool.c_str(), Name.c_str());
   std::vector<std::string> Unknown;
   for (const std::string &Name : CL.unqueriedFlags())
     if (std::find(KnownFlags.begin(), KnownFlags.end(), Name) ==
         KnownFlags.end())
       Unknown.push_back(Name);
   if (Unknown.empty())
-    return true;
+    return Repeated.empty();
   for (const std::string &Name : Unknown) {
     const std::string Suggestion = closestMatch(Name, KnownFlags);
     if (Suggestion.empty())

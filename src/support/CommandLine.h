@@ -44,6 +44,10 @@ public:
   /// used by strict tools to reject typos.
   std::vector<std::string> unqueriedFlags() const;
 
+  /// Returns the names of flags given more than once, each once, in order
+  /// of first appearance. The accessors read only the first occurrence.
+  std::vector<std::string> repeatedFlags() const;
+
 private:
   struct Flag {
     std::string Name;
@@ -57,13 +61,13 @@ private:
   std::vector<std::string> Positional;
 };
 
-/// Strict-mode check for tools: fails on any present flag that is neither
-/// in \p KnownFlags nor already queried through the typed accessors (the
-/// latter lets branching tools list only their common flags). Prints one
-/// diagnostic per unknown flag to stderr -- with a "did you mean" hint
-/// against \p KnownFlags when an accepted flag is a plausible typo target --
-/// plus a pointer at \p UsageHint. Returns true when the command line is
-/// clean.
+/// Strict-mode check for tools: fails on any flag given more than once, and
+/// on any present flag that is neither in \p KnownFlags nor already queried
+/// through the typed accessors (the latter lets branching tools list only
+/// their common flags). Prints one line per repeated flag to stderr, then
+/// one diagnostic per unknown flag -- with a "did you mean" hint against
+/// \p KnownFlags when an accepted flag is a plausible typo target -- plus a
+/// pointer at \p UsageHint. Returns true when the command line is clean.
 bool rejectUnknownFlags(const CommandLine &CL, const std::string &Tool,
                         const std::vector<std::string> &KnownFlags,
                         const std::string &UsageHint = "--help");

@@ -429,7 +429,9 @@ private:
 
 /// Every app x version (default and sync,sched spaces, serial clone
 /// included) x iteration emits the same micro-ops through the app's binding
-/// as through the trip-by-trip one.
+/// -- which folds pure-compute loops and replicates one trip of locking
+/// loops where it reads no loop index -- as through the trip-by-trip one,
+/// privacy flags included.
 TEST(EmissionEquivalenceTest, FoldedEmissionMatchesTripByTrip) {
   std::string Error;
   const std::optional<xform::VersionSpace> SyncSched =
@@ -460,12 +462,45 @@ TEST(EmissionEquivalenceTest, FoldedEmissionMatchesTripByTrip) {
             ASSERT_EQ(F.size(), W.size())
                 << Name << " " << Entry->name() << " iteration " << I;
             for (size_t K = 0; K < F.size(); ++K)
-              ASSERT_TRUE(F[K].K == W[K].K && F[K].Obj == W[K].Obj &&
-                          F[K].Dur == W[K].Dur)
+              ASSERT_TRUE(F[K] == W[K])
                   << Name << " " << Entry->name() << " iteration " << I
                   << " op " << K;
           }
         }
+      }
+    }
+  }
+}
+
+/// Barnes-Hut's versions lock only the iteration's own body, one body per
+/// iteration, so every one of their locks is private. Water's INTERF and
+/// POTENG lock partner molecules and a global accumulator, String one
+/// shared model and KvServe its store shards: iterations share those.
+TEST(LockPrivacyTest, BarnesHutLocksArePrivateOthersAreShared) {
+  const rt::CostModel CM = rt::CostModel::dashLike();
+  for (const auto &[Name, Private] :
+       std::map<std::string, bool>{{"barnes_hut", true},
+                                   {"kvserve", false},
+                                   {"string", false},
+                                   {"water", false}}) {
+    const std::unique_ptr<App> A = createApp(Name, 0.125);
+    ASSERT_TRUE(A) << Name;
+    for (const xform::VersionedSection &VS : A->program().Sections) {
+      const rt::DataBinding &B = A->binding(VS.Name);
+      for (const xform::SectionVersion &V : VS.Versions) {
+        const std::string Where = VS.Name + " " + V.Entry->name();
+        EXPECT_EQ(rt::locksOnlyThis(V.Entry), Private) << Where;
+        const rt::IterationEmitter E(V.Entry, B, CM);
+        EXPECT_EQ(E.privateLocks(), Private) << Where;
+        std::vector<rt::MicroOp> Ops;
+        E.emit(0, Ops);
+        size_t Locks = 0;
+        for (const rt::MicroOp &Op : Ops)
+          if (Op.K != rt::MicroOp::Kind::Compute) {
+            ++Locks;
+            EXPECT_EQ(Op.Private, Private) << Where;
+          }
+        EXPECT_GT(Locks, 0u) << Where;
       }
     }
   }

@@ -58,15 +58,6 @@ public:
   mutable uint64_t ComputeCalls = 0;
 };
 
-bool sameOps(const std::vector<MicroOp> &A, const std::vector<MicroOp> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I)
-    if (A[I].K != B[I].K || A[I].Obj != B[I].Obj || A[I].Dur != B[I].Dur)
-      return false;
-  return true;
-}
-
 TEST(InterpTest, EmitsExplicitRegionOps) {
   Module M("m");
   ClassDecl *C = M.createClass("c");
@@ -300,7 +291,7 @@ TEST(InterpTest, OpsCacheReturnsStableMemoizedSequences) {
   E.attachCache(&Cache);
   std::vector<MicroOp> Scratch;
   const std::vector<MicroOp> &FirstRef = E.ops(1, Scratch);
-  EXPECT_TRUE(sameOps(FirstRef, Live));
+  EXPECT_EQ(FirstRef, Live);
   // A repeat returns the same memoized storage, not Scratch.
   const std::vector<MicroOp> &SecondRef = E.ops(1, Scratch);
   EXPECT_EQ(&FirstRef, &SecondRef);
@@ -311,7 +302,7 @@ TEST(InterpTest, OpsCacheReturnsStableMemoizedSequences) {
   E.attachCache(nullptr);
   const std::vector<MicroOp> &LiveRef = E.ops(1, Scratch);
   EXPECT_EQ(&LiveRef, &Scratch);
-  EXPECT_TRUE(sameOps(LiveRef, Live));
+  EXPECT_EQ(LiveRef, Live);
 }
 
 TEST(InterpTest, UncacheableIterationsBypassTheCache) {
@@ -375,8 +366,215 @@ TEST(InterpTest, NestedIndexFreeLoopsFoldInConstantTime) {
   IterationEmitter WE(W.Entry, Walked, CostModel{});
   std::vector<MicroOp> WalkedOps;
   WE.emit(0, WalkedOps);
-  EXPECT_TRUE(sameOps(Ops, WalkedOps));
+  EXPECT_EQ(Ops, WalkedOps);
   EXPECT_EQ(Walked.ComputeCalls, 50u * 40u);
+}
+
+// ------------------------ Iteration-private locks -------------------------
+
+/// compute; acquire(this); update; release(this).
+struct ThisLockWorkload {
+  Module M{"m"};
+  Method *Entry = nullptr;
+
+  ThisLockWorkload() {
+    ClassDecl *C = M.createClass("c");
+    const unsigned F = C->addField("f");
+    Entry = M.createMethod("e", C);
+    MethodBuilder B(M, Entry);
+    B.compute();
+    B.acquire(Receiver::thisObj());
+    B.update(Receiver::thisObj(), F, BinOp::Add, M.exprConst(1.0));
+    B.release(Receiver::thisObj());
+  }
+};
+
+/// The lock operations' privacy flags of iteration \p Iter.
+std::vector<bool> lockPrivacy(const IterationEmitter &E, uint64_t Iter) {
+  std::vector<MicroOp> Ops;
+  E.emit(Iter, Ops);
+  std::vector<bool> Out;
+  for (const MicroOp &Op : Ops)
+    if (Op.K != MicroOp::Kind::Compute)
+      Out.push_back(Op.Private);
+  return Out;
+}
+
+TEST(LockPrivacyTest, ThisLocksOverAnInjectiveThisArePrivate) {
+  ThisLockWorkload W;
+  TestBinding Binding; // thisObject = Iter % 8 over 4 iterations.
+  EXPECT_TRUE(locksOnlyThis(W.Entry));
+  EXPECT_TRUE(thisObjectInjective(Binding));
+  const IterationEmitter E(W.Entry, Binding, CostModel{});
+  EXPECT_TRUE(E.privateLocks());
+  EXPECT_EQ(lockPrivacy(E, 1), (std::vector<bool>{true, true}));
+}
+
+TEST(LockPrivacyTest, NonInjectiveThisIsShared) {
+  ThisLockWorkload W;
+  TestBinding Binding;
+  Binding.Iterations = 12; // Iterations 0 and 8 both lock object 0.
+  EXPECT_FALSE(thisObjectInjective(Binding));
+  const IterationEmitter E(W.Entry, Binding, CostModel{});
+  EXPECT_FALSE(E.privateLocks());
+  EXPECT_EQ(lockPrivacy(E, 8), (std::vector<bool>{false, false}));
+  // A caller that already checked the binding passes the answer in.
+  EXPECT_TRUE(IterationEmitter(W.Entry, Binding, CostModel{}, true)
+                  .privateLocks());
+  // An object outside [0, objectCount()) makes no claim either.
+  Binding.Iterations = 4;
+  Binding.Objects = 2;
+  EXPECT_FALSE(thisObjectInjective(Binding));
+}
+
+TEST(LockPrivacyTest, ParamAndIndexedReceiversAreShared) {
+  Module M("m");
+  ClassDecl *C = M.createClass("c");
+  const unsigned F = C->addField("f");
+  // acquire(p); update; release(p) on an object parameter.
+  Method *OnParam = M.createMethod("on_param", C);
+  OnParam->addParam(Param{"p", C, false});
+  {
+    MethodBuilder B(M, OnParam);
+    B.acquire(Receiver::param(0));
+    B.update(Receiver::param(0), F, BinOp::Add, M.exprConst(1.0));
+    B.release(Receiver::param(0));
+  }
+  // loop { acquire(m[i]); update; release(m[i]) }.
+  Method *OnIndexed = M.createMethod("on_indexed", C);
+  OnIndexed->addParam(Param{"m", C, true});
+  {
+    MethodBuilder B(M, OnIndexed);
+    const unsigned L = B.beginLoop();
+    B.acquire(Receiver::paramIndexed(0, L));
+    B.update(Receiver::paramIndexed(0, L), F, BinOp::Add, M.exprConst(1.0));
+    B.release(Receiver::paramIndexed(0, L));
+    B.endLoop();
+  }
+  // A This-locking callee reached through a call on a parameter locks the
+  // parameter's object, not the iteration's.
+  Method *ThisLocker = M.createMethod("this_locker", C);
+  {
+    MethodBuilder B(M, ThisLocker);
+    B.acquire(Receiver::thisObj());
+    B.update(Receiver::thisObj(), F, BinOp::Add, M.exprConst(1.0));
+    B.release(Receiver::thisObj());
+  }
+  Method *ViaParam = M.createMethod("via_param", C);
+  ViaParam->addParam(Param{"p", C, false});
+  {
+    MethodBuilder B(M, ViaParam);
+    B.call(ThisLocker, Receiver::param(0), {});
+  }
+  Method *ViaThis = M.createMethod("via_this", C);
+  {
+    MethodBuilder B(M, ViaThis);
+    B.call(ThisLocker, Receiver::thisObj(), {});
+  }
+  // No locks at all: nothing to make private.
+  Method *LockFree = M.createMethod("lock_free", C);
+  {
+    MethodBuilder B(M, LockFree);
+    B.compute();
+  }
+
+  TestBinding Binding;
+  Binding.Args = {ObjRef::single(5)};
+  for (const Method *Shared : {OnParam, ViaParam, LockFree}) {
+    EXPECT_FALSE(locksOnlyThis(Shared)) << Shared->name();
+    EXPECT_FALSE(IterationEmitter(Shared, Binding, CostModel{}).privateLocks())
+        << Shared->name();
+  }
+  EXPECT_TRUE(locksOnlyThis(ViaThis));
+  EXPECT_TRUE(IterationEmitter(ViaThis, Binding, CostModel{}).privateLocks());
+  Binding.Args = {ObjRef::array(0)};
+  EXPECT_FALSE(locksOnlyThis(OnIndexed));
+  const IterationEmitter E(OnIndexed, Binding, CostModel{});
+  EXPECT_FALSE(E.privateLocks());
+  EXPECT_EQ(lockPrivacy(E, 0), std::vector<bool>(6, false));
+}
+
+// ------------------------ Locking-loop replication -------------------------
+
+/// compute; loop { compute; acquire(this); update; release(this); compute }:
+/// a locking loop whose trips meet at computes, after a compute.
+struct LockingLoopWorkload {
+  Module M{"m"};
+  Method *Entry = nullptr;
+
+  explicit LockingLoopWorkload(bool IndexedLock = false) {
+    ClassDecl *C = M.createClass("c");
+    const unsigned F = C->addField("f");
+    Entry = M.createMethod("e", C);
+    Entry->addParam(Param{"m", C, true});
+    MethodBuilder B(M, Entry);
+    B.compute();
+    const unsigned L = B.beginLoop();
+    const Receiver Lock =
+        IndexedLock ? Receiver::paramIndexed(0, L) : Receiver::thisObj();
+    B.compute();
+    B.acquire(Lock);
+    B.update(Lock, F, BinOp::Add, M.exprConst(1.0));
+    B.release(Lock);
+    B.compute();
+    B.endLoop();
+  }
+};
+
+TEST(InterpTest, IndexFreeLockingLoopReplicatesOneTrip) {
+  LockingLoopWorkload W;
+  TestBinding Binding;
+  Binding.IndexFree = true;
+  Binding.Trip = 50;
+  Binding.Args = {ObjRef::array(0)};
+  const IterationEmitter E(W.Entry, Binding, CostModel{});
+  std::vector<MicroOp> Ops;
+  E.emit(1, Ops);
+  // compute, then per trip acquire, compute, release, compute -- the
+  // trailing compute of each trip merged with the next trip's leading one.
+  ASSERT_EQ(Ops.size(), 1 + 4 * 50u);
+  EXPECT_EQ(Ops[0].Dur, 2 * Binding.ComputeCost);
+  EXPECT_EQ(Ops[4].Dur, 2 * Binding.ComputeCost);
+  EXPECT_EQ(Ops.back().Dur, Binding.ComputeCost);
+  // One trip is emitted, plus the last-trip check in builds with
+  // assertions: at most 1 + 2 x 2 cost queries, not 1 + 2 x 50.
+  EXPECT_LE(Binding.ComputeCalls, 5u);
+
+  TestBinding Walked = Binding;
+  Walked.IndexFree = false;
+  std::vector<MicroOp> WalkedOps;
+  IterationEmitter(W.Entry, Walked, CostModel{}).emit(1, WalkedOps);
+  EXPECT_EQ(Ops, WalkedOps);
+}
+
+TEST(InterpTest, LockingLoopOverIndexedReceiversWalksEveryTrip) {
+  // elementOf may read any loop index, so a body that resolves an indexed
+  // receiver is emitted trip by trip even for an index-free binding.
+  LockingLoopWorkload W(/*IndexedLock=*/true);
+  TestBinding Binding;
+  Binding.IndexFree = true;
+  Binding.Trip = 5;
+  Binding.Args = {ObjRef::array(0)};
+  std::vector<MicroOp> Ops;
+  IterationEmitter(W.Entry, Binding, CostModel{}).emit(0, Ops);
+  EXPECT_EQ(Binding.ElementOfCalls, 2 * 5u);
+  std::vector<ObjectId> Acquired;
+  for (const MicroOp &Op : Ops)
+    if (Op.K == MicroOp::Kind::Acquire)
+      Acquired.push_back(Op.Obj);
+  EXPECT_EQ(Acquired, (std::vector<ObjectId>{1, 2, 3, 4, 5}));
+}
+
+TEST(InterpDeathTest, ReplicatedTripThatDiffersAborts) {
+  LockingLoopWorkload W;
+  TestBinding Binding;
+  Binding.IndexFree = true;
+  Binding.CostReadsIndex = true;
+  Binding.Args = {ObjRef::array(0)};
+  const IterationEmitter E(W.Entry, Binding, CostModel{});
+  std::vector<MicroOp> Ops;
+  EXPECT_DEBUG_DEATH(E.emit(0, Ops),
+                     "replicated loop body differs from its last trip");
 }
 
 TEST(InterpDeathTest, IndexFreeBindingThatReadsTheIndexAborts) {

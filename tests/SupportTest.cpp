@@ -255,4 +255,19 @@ TEST(CommandLineTest, UnqueriedFlagsDetected) {
   EXPECT_EQ(Unqueried[0], "typo");
 }
 
+TEST(CommandLineTest, RepeatedFlagsAreRefused) {
+  const char *Argv[] = {"prog", "--scale", "0.1", "--n=1",
+                        "--scale=1e9", "--scale", "--typo", "--typo"};
+  CommandLine CL(8, Argv);
+  EXPECT_EQ(CL.repeatedFlags(), (std::vector<std::string>{"scale", "typo"}));
+  // Each name is reported once, however often it repeats.
+  EXPECT_EQ(CL.unqueriedFlags(),
+            (std::vector<std::string>{"scale", "n", "typo"}));
+  EXPECT_FALSE(rejectUnknownFlags(CL, "prog", {"scale", "n", "typo"}));
+
+  const char *Once[] = {"prog", "--scale", "0.1", "--n=1"};
+  EXPECT_TRUE(CommandLine(4, Once).repeatedFlags().empty());
+  EXPECT_TRUE(rejectUnknownFlags(CommandLine(4, Once), "prog", {"scale", "n"}));
+}
+
 } // namespace
